@@ -19,7 +19,7 @@ from .chipfiring import (
     parse_divisor,
     q_reduce,
 )
-from .flow import collapse, min_edge_cut, min_separating_cut
+from .flow import min_edge_cut, min_separating_cut
 from .graphs import (
     INF,
     EdgeListError,
@@ -42,7 +42,6 @@ from .graphs import (
     random_connected_multigraph,
 )
 from .invariants import (
-    InvariantValue,
     component_independence_number,
     compute_invariant,
     dissociation_number,

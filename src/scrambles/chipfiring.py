@@ -85,8 +85,9 @@ def _reduce_along(G, D, q, order):
     Then the burning loop: start a fire at q; a vertex burns once its
     edges to burnt vertices outnumber its chips.  While some set survives
     the fire, firing that set keeps everything outside q non-negative and
-    moves chips toward q; the fixpoint where everything burns is the
-    canonical representative.
+    moves chips toward q.  The set fires as many times at once as every
+    member can pay for, since each of those firings is legal on its own.
+    The fixpoint where everything burns is the canonical representative.
     """
     n = G.n
     adj = G._adj
@@ -108,8 +109,6 @@ def _reduce_along(G, D, q, order):
                     chips[u] -= rounds * m
                     chips[w] += rounds * m
 
-    cap = 4 * n * (abs(sum(D)) + G.edge_count)
-    rounds = 0
     while True:
         burnt = [False] * n
         burnt[q] = True
@@ -127,15 +126,15 @@ def _reduce_along(G, D, q, order):
                         burnt_count += 1
         if burnt_count == n:
             return tuple(chips)
-        rounds += 1
-        if rounds > cap:
-            raise RuntimeError("internal error: burning loop failed to converge")
+        times = min(
+            chips[v] // incoming[v] for v in range(n) if not burnt[v] and incoming[v]
+        )
         for v in range(n):
             if not burnt[v] and incoming[v]:
-                chips[v] -= incoming[v]
+                chips[v] -= times * incoming[v]
                 for w, m in adj[v].items():
                     if burnt[w]:
-                        chips[w] += m
+                        chips[w] += times * m
 
 
 def q_reduce(G, D, q):

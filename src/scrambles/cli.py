@@ -7,7 +7,7 @@ cap exceeded.
 import argparse
 import sys
 
-from . import chipfiring, flow, graphs, scramble, verify
+from . import chipfiring, graphs, scramble, verify
 from .graphs import InputFormatError, fmt_count
 from .invariants import compute_invariant
 
@@ -149,7 +149,7 @@ def _cmd_invariant(args):
             raise _UsageError("parameter K must be an integer") from None
         path = args.args[1]
     G = _load_graph(path)
-    print(fmt_count(compute_invariant(G, args.kind, parameter).value))
+    print(fmt_count(compute_invariant(G, args.kind, parameter)))
     return 0
 
 
@@ -182,9 +182,11 @@ def _cmd_scramble_uniform(args):
     if args.eggcut:
         print(fmt_count(scramble.egg_cut_number(S)))
         return 0
-    print(f"hitting number: {scramble.hitting_number(S)}")
-    print(f"egg-cut number: {fmt_count(scramble.egg_cut_number(S))}")
-    print(f"order: {fmt_count(scramble.scramble_order(S))}")
+    h = scramble.hitting_number(S)
+    e = scramble.egg_cut_number(S)
+    print(f"hitting number: {h}")
+    print(f"egg-cut number: {fmt_count(e)}")
+    print(f"order: {fmt_count(min(h, e))}")
     return 0
 
 

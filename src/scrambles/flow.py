@@ -1,80 +1,47 @@
-"""Minimum edge cuts via shortest-augmenting-path max flow, and the
-set-collapse construction that reduces set separation to a vertex cut."""
+"""Minimum edge cuts between two disjoint vertex sets via
+shortest-augmenting-path max flow."""
 
-from .graphs import Multigraph
-
-
-def _collapse_map(n, merged):
-    """Old label -> new label for survivors when ``merged`` is collapsed.
-
-    Survivors keep their relative order; the merged vertex takes the last
-    label, len(survivors).
-    """
-    remap = {}
-    fresh = 0
-    for v in range(n):
-        if v not in merged:
-            remap[v] = fresh
-            fresh += 1
-    return remap
+from .graphs import _bits
 
 
-def collapse(G, subset):
-    """Merge a vertex set into a single vertex.
-
-    Internal edges disappear; each edge from the set to an outside vertex
-    w becomes an edge from the new vertex to w, so multiplicities add up.
-    Returns the new graph and the label of the merged vertex (always the
-    last label).  The set need not be connected; egg connectivity is the
-    caller's concern.
-    """
-    merged = frozenset(subset)
-    if not merged:
-        raise ValueError("cannot collapse an empty set")
-    remap = _collapse_map(G.n, merged)
-    new_label = len(remap)
-    edges = []
-    for u, v, m in G.edges():
-        u_in, v_in = u in merged, v in merged
-        if u_in and v_in:
-            continue
-        if u_in:
-            pair = (remap[v], new_label)
-        elif v_in:
-            pair = (remap[u], new_label)
-        else:
-            pair = (remap[u], remap[v])
-        edges.extend([pair] * m)
-    return Multigraph(new_label + 1, edges), new_label
-
-
-def _edmonds_karp(G, source, sink, limit=None):
-    """Max flow = min cut between two vertices, by BFS augmenting paths.
+def _max_flow(G, source_mask, sink_mask, limit=None):
+    """Max flow = min cut between two disjoint vertex sets, by BFS
+    augmenting paths.
 
     Capacities are the edge multiplicities, usable in both directions.
-    With ``limit`` the search stops once the flow reaches it, so the
-    result is exact below the limit and equals it otherwise.
+    Each search starts from every source vertex at once and stops at the
+    first sink vertex it reaches, as if a super-source fed the sources
+    and the sinks drained into a super-sink; edges inside either set
+    never carry flow.  With ``limit`` the search stops once the flow
+    reaches it, so the result is exact below the limit and equals it
+    otherwise.
     """
     n = G.n
-    residual = [dict(G._adj[v]) for v in range(n)]
+    residual = [dict(d) for d in G._adj]
+    sources = list(_bits(source_mask))
     flow = 0
     while limit is None or flow < limit:
         parent = [None] * n
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] is None:
-            nxt = []
-            for a in queue:
-                for b, cap in residual[a].items():
-                    if cap > 0 and parent[b] is None:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if parent[sink] is None:
+        for s in sources:
+            parent[s] = s
+        queue = list(sources)
+        sink = None
+        # breadth first: the loop also visits what it appends to queue
+        for a in queue:
+            for b, cap in residual[a].items():
+                if cap and parent[b] is None:
+                    parent[b] = a
+                    if sink_mask >> b & 1:
+                        sink = b
+                        break
+                    queue.append(b)
+            if sink is not None:
+                break
+        if sink is None:
             break
         push = None
         v = sink
-        while v != source:
+        while parent[v] != v:
             u = parent[v]
             cap = residual[u][v]
             push = cap if push is None else min(push, cap)
@@ -82,7 +49,7 @@ def _edmonds_karp(G, source, sink, limit=None):
         if limit is not None:
             push = min(push, limit - flow)
         v = sink
-        while v != source:
+        while parent[v] != v:
             u = parent[v]
             residual[u][v] -= push
             residual[v][u] = residual[v].get(u, 0) + push
@@ -99,28 +66,18 @@ def min_edge_cut(G, u, v, limit=None):
         raise ValueError("endpoints must differ")
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    return _edmonds_karp(G, u, v, limit)
+    return _max_flow(G, 1 << u, 1 << v, limit)
 
 
 def min_separating_cut(G, side_a, side_b, limit=None):
     """Fewest edges whose removal leaves the two given connected sets in
-    different components.
-
-    Both sets are collapsed to single vertices and the vertex cut between
-    them is computed; the sets must be disjoint.
-    """
-    a = frozenset(side_a)
-    b = frozenset(side_b)
+    different components; the sets must be disjoint."""
+    a = G._vertex_mask(side_a)
+    b = G._vertex_mask(side_b)
     if a & b:
         raise ValueError("sets must be disjoint")
     if not a or not b:
         raise ValueError("sets must be nonempty")
-    if not G.is_connected_set(a) or not G.is_connected_set(b):
+    if not G._mask_connected(a) or not G._mask_connected(b):
         raise ValueError("sets must induce connected subgraphs")
-
-    g1, merged_a = collapse(G, a)
-    remap1 = _collapse_map(G.n, a)
-    b1 = frozenset(remap1[v] for v in b)
-    g2, merged_b = collapse(g1, b1)
-    remap2 = _collapse_map(g1.n, b1)
-    return _edmonds_karp(g2, remap2[merged_a], merged_b, limit)
+    return _max_flow(G, a, b, limit)

@@ -4,8 +4,6 @@ independence.  All searches are exponential in the vertex count and are
 meant for graphs of desk scale (roughly n <= 20).
 """
 
-from dataclasses import dataclass
-
 from .graphs import INF, _bits, enumerate_connected_subsets
 
 
@@ -124,31 +122,16 @@ def dissociation_number(G):
     return component_independence_number(G, 2)
 
 
-@dataclass(frozen=True)
-class InvariantValue:
-    """A computed invariant: which one, its integer parameter (0 when the
-    invariant takes none), and the possibly-infinite value."""
-
-    kind: str
-    parameter: int
-    value: object
-
-
-_PARAMETRIC = {"lambda-k", "xi-k", "alpha-c"}
-
-
 def compute_invariant(G, kind, parameter=0):
     """Dispatch for the CLI: lambda-k, xi-k, alpha-c, or girth."""
     if kind == "lambda-k":
-        value = restricted_edge_connectivity(G, parameter)
-    elif kind == "xi-k":
+        return restricted_edge_connectivity(G, parameter)
+    if kind == "xi-k":
         if not 1 <= parameter <= G.n:
             raise ValueError(f"subset size {parameter} out of range")
-        value = min_connected_outdegree(G, parameter)
-    elif kind == "alpha-c":
-        value = component_independence_number(G, parameter)
-    elif kind == "girth":
-        value = G.girth()
-    else:
-        raise ValueError(f"unknown invariant {kind!r}")
-    return InvariantValue(kind, parameter if kind in _PARAMETRIC else 0, value)
+        return min_connected_outdegree(G, parameter)
+    if kind == "alpha-c":
+        return component_independence_number(G, parameter)
+    if kind == "girth":
+        return G.girth()
+    raise ValueError(f"unknown invariant {kind!r}")

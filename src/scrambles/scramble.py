@@ -249,7 +249,7 @@ def minimum_hitting_set(S):
 # -- egg cuts and orders -------------------------------------------------
 
 
-def has_finite_egg_cut(S, _masks=None):
+def has_finite_egg_cut(S):
     """Whether two disjoint eggs exist; returns (flag, witness pair).
 
     Only a split with whole eggs on both sides counts as an egg cut, so
@@ -257,7 +257,7 @@ def has_finite_egg_cut(S, _masks=None):
     """
     if not S.eggs:
         raise ValueError("empty scramble")
-    masks = _egg_masks(S) if _masks is None else _masks
+    masks = _egg_masks(S)
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if not masks[i] & masks[j]:
@@ -269,8 +269,8 @@ def egg_cut_number(S):
     """Minimum edges crossing any split that leaves whole eggs on both
     sides; INF when no two eggs are disjoint.
 
-    Runs the collapsed two-set cut over all disjoint egg pairs, pruning
-    each flow at the best cut seen so far.
+    Runs the two-set max flow over all disjoint egg pairs, pruning each
+    flow at the best cut seen so far.
     """
     if not S.eggs:
         raise ValueError("empty scramble")

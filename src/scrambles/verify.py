@@ -21,17 +21,6 @@ from .invariants import (
 )
 from .scramble import scramble_order, uniform_order_via_invariants, uniform_scramble
 
-THEOREM_IDS = (
-    "main",
-    "girth3",
-    "girth4a",
-    "girth4b",
-    "girth5",
-    "bipartite1",
-    "bipartite2",
-    "order_ek",
-)
-
 DEFAULT_BRUTE_CAP = 12
 
 

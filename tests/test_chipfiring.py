@@ -115,6 +115,19 @@ class TestReduction:
         with pytest.raises(ValueError, match="connected"):
             q_reduce(G, (0, 0, 0, 0), 0)
 
+    def test_long_burning_phase_on_hypercube(self):
+        # debt clearing leaves the chips far from q, so the burning phase
+        # needs many firings of the same surviving sets
+        G = hypercube(4)
+        D = (4, -1, 6, 0, 7, 6, 8, 6, 5, 3, -5, 8, 2, 7, -2, 5)
+        n, edges = plain_edges(G)
+        reduced = q_reduce(G, D, 4)
+        assert oracles.is_q_reduced(n, edges, reduced, 4)
+        assert oracles.divisors_equivalent(n, edges, D, reduced)
+        assert is_equivalent(G, D, reduced)
+        # Riemann-Roch: rank >= degree - genus = 59 - 17
+        assert has_positive_rank(G, D)
+
     @given(graph_and_divisor(), st.data())
     @settings(deadline=None)
     def test_idempotent(self, pair, data):

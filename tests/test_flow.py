@@ -1,16 +1,14 @@
-"""Collapse construction and minimum edge cuts."""
+"""Minimum edge cuts between vertices and between vertex sets."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from scrambles import (
     Multigraph,
-    collapse,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     hypercube,
@@ -19,54 +17,6 @@ from scrambles import (
     path_graph,
 )
 from strategies import connected_multigraphs, plain_edges
-
-
-class TestCollapse:
-    def test_single_vertex_is_identity_up_to_labels(self):
-        G = cycle_graph(5)
-        H, merged = collapse(G, {2})
-        assert H.n == 5
-        assert merged == 4
-        assert sorted(H.valence(v) for v in range(5)) == [2] * 5
-        assert H.edge_count == G.edge_count
-
-    def test_collapsing_one_edge_of_square(self):
-        G = cycle_graph(4)
-        H, merged = collapse(G, {0, 1})
-        assert H.n == 3
-        assert merged == 2
-        # survivors 2, 3 keep relative order as 0, 1
-        assert H.mult(0, 1) == 1
-        assert H.valence(merged) == 2
-
-    def test_collapsing_partite_side_adds_multiplicities(self):
-        G = complete_bipartite(2, 3)
-        H, merged = collapse(G, {0, 1})
-        assert H.n == 4
-        assert H.valence(merged) == 6
-        assert all(H.mult(v, merged) == 2 for v in range(3))
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            collapse(cycle_graph(4), set())
-
-    def test_disconnected_sets_allowed(self):
-        # opposite corners of a square fold it into a double path
-        H, merged = collapse(cycle_graph(4), {0, 2})
-        assert H.n == 3
-        assert H.mult(0, merged) == 2
-        assert H.mult(1, merged) == 2
-
-    @given(connected_multigraphs(max_n=7), st.data())
-    @settings(deadline=None)
-    def test_preserves_crossing_valence(self, G, data):
-        subset = data.draw(
-            st.sets(st.integers(0, G.n - 1), min_size=1, max_size=G.n)
-        )
-        H, merged = collapse(G, subset)
-        assert H.n == G.n - len(subset) + 1
-        if len(subset) < G.n:
-            assert H.valence(merged) == G.outdegree(subset)
 
 
 class TestMinEdgeCut:
@@ -136,6 +86,10 @@ class TestMinSeparatingCut:
         with pytest.raises(ValueError, match="disjoint"):
             min_separating_cut(cycle_graph(5), {0, 1}, {1, 2})
 
+    def test_empty_side_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            min_separating_cut(cycle_graph(5), set(), {2})
+
     def test_disconnected_side_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             min_separating_cut(cycle_graph(6), {0, 2}, {4})
@@ -155,6 +109,33 @@ class TestMinSeparatingCut:
                     side_a.add(w)
                 break
         pool = [w for w in range(n) if w not in side_a and w != v]
+        best = min(
+            oracles.crossing_edges(edges, side_a | set(extra))
+            for r in range(len(pool) + 1)
+            for extra in itertools.combinations(pool, r)
+        )
+        assert min_separating_cut(G, side_a, side_b) == best
+
+    @given(connected_multigraphs(min_n=4, max_n=7), st.data())
+    @settings(deadline=None)
+    def test_two_sets_match_containment_bipartition_minimum(self, G, data):
+        n, edges = plain_edges(G)
+
+        def grow(allowed, size):
+            side = {data.draw(st.sampled_from(sorted(allowed)))}
+            while len(side) < size:
+                frontier = sorted(
+                    {w for x in side for w in G.neighbors(x) if w in allowed} - side
+                )
+                if not frontier:
+                    break
+                side.add(data.draw(st.sampled_from(frontier)))
+            return side
+
+        side_a = grow(set(range(n)), data.draw(st.integers(2, n - 2)))
+        side_b = grow(set(range(n)) - side_a, data.draw(st.integers(2, n - len(side_a))))
+        assume(len(side_b) >= 2)
+        pool = [w for w in range(n) if w not in side_a | side_b]
         best = min(
             oracles.crossing_edges(edges, side_a | set(extra))
             for r in range(len(pool) + 1)

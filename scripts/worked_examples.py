@@ -20,12 +20,7 @@ from scrambles.graphs import (
     herschel_graph,
     hypercube,
 )
-from scrambles.scramble import (
-    egg_cut_number,
-    hitting_number,
-    scramble_order,
-    uniform_scramble,
-)
+from scrambles.scramble import egg_cut_number, hitting_number, uniform_scramble
 
 
 @dataclass
@@ -65,15 +60,15 @@ def main():
         G = ex.graph
         S = uniform_scramble(G, ex.egg_size)
         h = hitting_number(S)
-        e = fmt_count(egg_cut_number(S))
-        order = fmt_count(scramble_order(S))
+        e = egg_cut_number(S)
+        order = fmt_count(min(h, e))
         if args.skip_gonality:
             gon = bound = "-"
         else:
             gon = gonality_bruteforce(G).value
             bound = gonality_upper_by_separator(G).size
         print(
-            f"{ex.name:<10} {G.n:>3} {ex.egg_size:>2} {h:>8} {e:>8}"
+            f"{ex.name:<10} {G.n:>3} {ex.egg_size:>2} {h:>8} {fmt_count(e):>8}"
             f" {order:>6} {gon:>9} {bound:>4}"
         )
 

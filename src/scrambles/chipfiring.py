@@ -7,7 +7,7 @@ A divisor is a plain tuple of n ints, one chip count per vertex.
 
 from dataclasses import dataclass
 
-from .graphs import INF, InputFormatError, _bits
+from .graphs import INF, InputFormatError, _bits, _content_rows
 from .invariants import max_component_independent_set
 
 
@@ -290,14 +290,7 @@ def gonality_upper_by_separator(G):
 
 def parse_divisor(text, n):
     """A single content line of n whitespace-separated integers."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-    if not rows:
-        raise DivisorFileError("no content lines")
+    rows = list(_content_rows(text, DivisorFileError))
     if len(rows) > 1:
         raise DivisorFileError("expected a single line of chip counts", rows[1][0])
     lineno, tokens = rows[0]

@@ -21,19 +21,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_graph(path):
+def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return graphs.parse_edge_list(handle.read())
-
-
-def _load_scramble(path, G):
-    with open(path, "r", encoding="utf-8") as handle:
-        return scramble.parse_scramble(handle.read(), G)
-
-
-def _load_divisor(path, G):
-    with open(path, "r", encoding="utf-8") as handle:
-        return chipfiring.parse_divisor(handle.read(), G.n)
+        return handle.read()
 
 
 def build_parser():
@@ -63,10 +53,11 @@ def build_parser():
     which.add_argument("--hitting", action="store_true")
     which.add_argument("--eggcut", action="store_true")
     u.add_argument("--long-running", action="store_true",
-                   help="iterative lower-bound search with progress on stderr")
-    u.add_argument("--budget", type=float, help="seconds before giving up")
+                   help="with --hitting: progress lines on stderr")
+    u.add_argument("--budget", type=float,
+                   help="with --hitting: seconds before giving up")
     u.add_argument("--prove-at-least", type=int,
-                   help="stop once the hitting number is proven >= this")
+                   help="with --hitting: stop once the hitting number is proven >= this")
 
     o = ssub.add_parser("order", help="order of a scramble from a file")
     o.add_argument("file")
@@ -117,7 +108,7 @@ def _cmd_gen(args):
 
 
 def _cmd_info(args):
-    G = _load_graph(args.file)
+    G = graphs.parse_edge_list(_read(args.file))
     print(f"vertices: {G.n}")
     print(f"edges: {G.edge_count}")
     print(f"simple: {'yes' if G.is_simple() else 'no'}")
@@ -148,34 +139,39 @@ def _cmd_invariant(args):
         except ValueError:
             raise _UsageError("parameter K must be an integer") from None
         path = args.args[1]
-    G = _load_graph(path)
+    G = graphs.parse_edge_list(_read(path))
     print(fmt_count(compute_invariant(G, args.kind, parameter)))
     return 0
 
 
 def _cmd_scramble_uniform(args):
-    G = _load_graph(args.file)
+    if not args.hitting:
+        for flag, given in (
+            ("--long-running", args.long_running),
+            ("--budget", args.budget is not None),
+            ("--prove-at-least", args.prove_at_least is not None),
+        ):
+            if given:
+                raise _UsageError(f"{flag} only applies to --hitting")
+    G = graphs.parse_edge_list(_read(args.file))
     S = scramble.uniform_scramble(G, args.k)
-    if args.long_running and not args.hitting:
-        raise _UsageError("--long-running only applies to --hitting")
     if args.hitting:
+        progress = None
         if args.long_running:
             def progress(message):
                 print(message, file=sys.stderr, flush=True)
 
-            result = scramble.hitting_search(
-                S, target=args.prove_at_least, budget=args.budget, progress=progress
-            )
-            if result.optimum is not None:
-                print(result.optimum)
-                return 0
-            if args.prove_at_least is not None and result.proved_lower >= args.prove_at_least:
-                print(f"hitting number >= {result.proved_lower}")
-                return 0
-            print(f"hitting number >= {result.proved_lower} (search incomplete)")
-            return 3
-        print(scramble.hitting_number(S))
-        return 0
+        result = scramble.hitting_search(
+            S, target=args.prove_at_least, budget=args.budget, progress=progress
+        )
+        if result.optimum is not None:
+            print(result.optimum)
+            return 0
+        if args.prove_at_least is not None and result.proved_lower >= args.prove_at_least:
+            print(f"hitting number >= {result.proved_lower}")
+            return 0
+        print(f"hitting number >= {result.proved_lower} (search incomplete)")
+        return 3
     if args.order:
         print(fmt_count(scramble.scramble_order(S)))
         return 0
@@ -193,8 +189,8 @@ def _cmd_scramble_uniform(args):
 def _cmd_scramble(args):
     if args.scramble_command == "uniform":
         return _cmd_scramble_uniform(args)
-    G = _load_graph(args.file)
-    S = _load_scramble(args.scramblefile, G)
+    G = graphs.parse_edge_list(_read(args.file))
+    S = scramble.parse_scramble(_read(args.scramblefile), G)
     if args.scramble_command == "order":
         print(fmt_count(scramble.scramble_order(S)))
         return 0
@@ -209,7 +205,7 @@ def _cmd_scramble(args):
 
 
 def _cmd_gonality(args):
-    G = _load_graph(args.file)
+    G = graphs.parse_edge_list(_read(args.file))
     if args.gonality_command == "brute":
         result = chipfiring.gonality_bruteforce(G, args.max_degree)
         if result.exceeded_cap:
@@ -220,7 +216,7 @@ def _cmd_gonality(args):
         print("witness: " + chipfiring.format_divisor(result.witness))
         return 0
     if args.gonality_command == "check":
-        D = _load_divisor(args.divfile, G)
+        D = chipfiring.parse_divisor(_read(args.divfile), G.n)
         positive = chipfiring.has_positive_rank(G, D)
         print(f"positive rank: {'yes' if positive else 'no'}")
         return 0
@@ -231,8 +227,8 @@ def _cmd_gonality(args):
 
 
 def _cmd_reduce(args):
-    G = _load_graph(args.file)
-    D = _load_divisor(args.divfile, G)
+    G = graphs.parse_edge_list(_read(args.file))
+    D = chipfiring.parse_divisor(_read(args.divfile), G.n)
     print(chipfiring.format_divisor(chipfiring.q_reduce(G, D, args.q)))
     return 0
 
@@ -247,7 +243,7 @@ def _cmd_verify(args):
         except ValueError:
             raise _UsageError(f"bad theorem parameter {raw!r}") from None
     token = token.replace("-", "_")
-    G = _load_graph(args.file)
+    G = graphs.parse_edge_list(_read(args.file))
     if token == "main":
         if parameter is None:
             raise _UsageError("main needs a parameter, e.g. main:4")

@@ -15,6 +15,9 @@ import random
 
 INF = float("inf")
 
+# Vertex sets are int bitmasks; documents may declare at most this many.
+MAX_VERTICES = 64
+
 
 def fmt_count(value):
     """Format a possibly-infinite count for text output."""
@@ -40,6 +43,19 @@ class InputFormatError(ValueError):
 
 class EdgeListError(InputFormatError):
     pass
+
+
+def _content_rows(text, error):
+    """Yield (1-based line number, tokens) for every line that is neither
+    blank nor a ``#`` comment; raise ``error`` when there is none."""
+    empty = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            empty = False
+            yield lineno, stripped.split()
+    if empty:
+        raise error("no content lines")
 
 
 def _bits(mask):
@@ -235,7 +251,7 @@ class Multigraph:
                     return 3
         return best
 
-    def _dist_avoiding(self, s, t, skip=None):
+    def _dist_avoiding(self, s, t):
         """BFS distance from s to t ignoring the edge class {s, t}."""
         dist = {s: 0}
         queue = [s]
@@ -325,18 +341,11 @@ def parse_edge_list(text):
     """Parse an edge-list document into a Multigraph.
 
     Line 1 holds ``n m``; the next m lines hold one ``u v`` pair each.
-    Repeated pairs raise multiplicity.  Blank lines and lines starting
-    with ``#`` are ignored.  Errors carry 1-based line numbers.
+    Repeated pairs raise multiplicity; n is at most ``MAX_VERTICES``.
+    Blank lines and lines starting with ``#`` are ignored.  Errors carry
+    1-based line numbers.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-
-    if not rows:
-        raise EdgeListError("no content lines")
+    rows = list(_content_rows(text, EdgeListError))
     head_line, head = rows[0]
     if len(head) != 2:
         raise EdgeListError("header must be 'n m'", head_line)
@@ -346,6 +355,8 @@ def parse_edge_list(text):
         raise EdgeListError("header must hold two integers", head_line) from None
     if n < 0 or m < 0:
         raise EdgeListError("vertex and edge counts must be non-negative", head_line)
+    if n > MAX_VERTICES:
+        raise EdgeListError(f"at most {MAX_VERTICES} vertices are supported", head_line)
 
     body = rows[1:]
     if len(body) > m:

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .flow import min_separating_cut
-from .graphs import INF, InputFormatError, _bits
+from .graphs import INF, InputFormatError, _bits, _content_rows, enumerate_connected_subsets
 from .invariants import component_independence_number, restricted_edge_connectivity
 
 
@@ -21,65 +21,64 @@ class ScrambleFileError(InputFormatError):
 
 @dataclass(frozen=True, eq=False)
 class Scramble:
-    """Eggs stored deduplicated and sorted by ascending vertex tuple."""
+    """Eggs stored deduplicated and sorted by ascending vertex tuple;
+    ``masks[i]`` is the vertex bitmask of ``eggs[i]``."""
 
     graph: object
     eggs: tuple
+    masks: tuple
 
     def __len__(self):
         return len(self.eggs)
 
 
+def _canonical(G, masks):
+    """The scramble on G with the given validated egg bitmasks, deduplicated
+    and sorted by ascending vertex tuple."""
+    masks = sorted(set(masks), key=lambda mask: tuple(_bits(mask)))
+    return Scramble(G, tuple(frozenset(_bits(mask)) for mask in masks), tuple(masks))
+
+
 def make_scramble(G, eggs):
     """Validate eggs against G (nonempty, in range, connected) and build
     the canonical scramble."""
-    cleaned = set()
+    masks = []
     for egg in eggs:
-        egg = frozenset(egg)
-        if not egg:
+        mask = G._vertex_mask(egg)
+        if not mask:
             raise ValueError("eggs must be nonempty")
-        if not G.is_connected_set(egg):
+        if not G._mask_connected(mask):
             raise ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
-        cleaned.add(egg)
-    ordered = sorted(cleaned, key=sorted)
-    return Scramble(G, tuple(ordered))
+        masks.append(mask)
+    return _canonical(G, masks)
 
 
 def uniform_scramble(G, k):
     """The scramble whose eggs are all connected k-vertex subsets."""
-    from .graphs import enumerate_connected_subsets
-
-    return Scramble(G, tuple(enumerate_connected_subsets(G, k)))
+    eggs = tuple(enumerate_connected_subsets(G, k))
+    return Scramble(G, eggs, tuple(sum(1 << v for v in egg) for egg in eggs))
 
 
 def parse_scramble(text, G):
     """One egg per line as whitespace-separated vertex indices; ``#``
     lines are comments.  Eggs are validated against G on load."""
-    eggs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    masks = []
+    for lineno, tokens in _content_rows(text, ScrambleFileError):
         try:
-            vertices = [int(tok) for tok in stripped.split()]
+            vertices = [int(tok) for tok in tokens]
         except ValueError:
             raise ScrambleFileError("egg line must hold integers", lineno) from None
         if len(set(vertices)) != len(vertices):
             raise ScrambleFileError("repeated vertex in egg", lineno)
+        mask = 0
         for v in vertices:
             if not 0 <= v < G.n:
                 raise ScrambleFileError(f"vertex {v} out of range", lineno)
-        egg = frozenset(vertices)
-        if not egg:
-            raise ScrambleFileError("empty egg line", lineno)
-        if not G.is_connected_set(egg):
+            mask |= 1 << v
+        if not G._mask_connected(mask):
             raise ScrambleFileError("egg does not induce a connected subgraph", lineno)
-        eggs.append(egg)
-    return make_scramble(G, eggs)
-
-
-def _egg_masks(S):
-    return [S.graph._vertex_mask(egg) for egg in S.eggs]
+        masks.append(mask)
+    return _canonical(G, masks)
 
 
 # -- hitting number ------------------------------------------------------
@@ -117,7 +116,7 @@ def hitting_search(S, target=None, budget=None, progress=None):
         raise ValueError("empty scramble")
     start = time.monotonic()
     deadline = None if budget is None else start + budget
-    masks = _egg_masks(S)
+    masks = S.masks
     all_idx = list(range(len(masks)))
 
     def greedy_cover():
@@ -249,19 +248,25 @@ def minimum_hitting_set(S):
 # -- egg cuts and orders -------------------------------------------------
 
 
+def _disjoint_pairs(S):
+    """Yield the index pairs i < j of disjoint eggs in ascending order."""
+    if not S.eggs:
+        raise ValueError("empty scramble")
+    masks = S.masks
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if not a & masks[j]:
+                yield i, j
+
+
 def has_finite_egg_cut(S):
     """Whether two disjoint eggs exist; returns (flag, witness pair).
 
     Only a split with whole eggs on both sides counts as an egg cut, so
     pairwise-overlapping scrambles have no finite one.
     """
-    if not S.eggs:
-        raise ValueError("empty scramble")
-    masks = _egg_masks(S)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if not masks[i] & masks[j]:
-                return True, (S.eggs[i], S.eggs[j])
+    for i, j in _disjoint_pairs(S):
+        return True, (S.eggs[i], S.eggs[j])
     return False, None
 
 
@@ -272,19 +277,13 @@ def egg_cut_number(S):
     Runs the two-set max flow over all disjoint egg pairs, pruning each
     flow at the best cut seen so far.
     """
-    if not S.eggs:
-        raise ValueError("empty scramble")
     G = S.graph
-    masks = _egg_masks(S)
     best = INF
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                continue
-            limit = None if best == INF else best
-            cut = min_separating_cut(G, S.eggs[i], S.eggs[j], limit=limit)
-            if cut < best:
-                best = cut
+    for i, j in _disjoint_pairs(S):
+        limit = None if best == INF else best
+        cut = min_separating_cut(G, S.eggs[i], S.eggs[j], limit=limit)
+        if cut < best:
+            best = cut
     return best
 
 

@@ -164,6 +164,24 @@ class TestScrambleUniform:
         assert run_cli(["scramble", "uniform", "2", path, "--long-running"]) == 1
         assert "--long-running" in capsys.readouterr().err
 
+    def test_search_flags_need_hitting(self, graph_file, capsys):
+        path = graph_file("cycle", "4")
+        capsys.readouterr()
+        for flags in (["--budget", "5"], ["--order", "--prove-at-least", "2"]):
+            assert run_cli(["scramble", "uniform", "2", path, *flags]) == 1
+            assert flags[-2] in capsys.readouterr().err
+
+    def test_budget_applies_without_long_running(self, graph_file, capsys):
+        path = graph_file("cycle", "3")
+        capsys.readouterr()
+        code = run_cli(
+            ["scramble", "uniform", "2", path, "--hitting", "--budget", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.strip() == "hitting number >= 1 (search incomplete)"
+        assert captured.err == ""
+
     def test_long_running_finds_the_optimum(self, graph_file, capsys):
         path = graph_file("hypercube", "3")
         capsys.readouterr()
@@ -241,6 +259,13 @@ class TestScrambleFiles:
         capsys.readouterr()
         assert run_cli(["scramble", "order", gpath, spath]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    def test_scramble_file_without_eggs_is_invalid_input(self, graph_file, write, capsys):
+        gpath = graph_file("cycle", "4")
+        spath = write("eggs.txt", "# no eggs yet\n\n")
+        capsys.readouterr()
+        assert run_cli(["scramble", "order", gpath, spath]) == 2
+        assert "no content lines" in capsys.readouterr().err
 
 
 class TestGonality:

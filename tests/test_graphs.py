@@ -175,6 +175,14 @@ class TestParsing:
         with pytest.raises(EdgeListError, match="no content"):
             parse_edge_list("# nothing\n\n")
 
+    def test_vertex_cap_enforced_at_header(self):
+        with pytest.raises(EdgeListError, match="at most 64 vertices") as info:
+            parse_edge_list("# too large\n65 0\n")
+        assert info.value.line == 2
+
+    def test_vertex_cap_admits_64(self):
+        assert parse_edge_list("64 0\n").n == 64
+
     def test_bad_edge_tokens(self):
         with pytest.raises(EdgeListError, match="two integers") as info:
             parse_edge_list("3 1\n0 x\n")

@@ -28,6 +28,12 @@ from scrambles import (
 from strategies import connected_multigraphs, plain_edges
 
 
+def assert_masks_match_eggs(S):
+    assert len(S.masks) == len(S.eggs)
+    for egg, mask in zip(S.eggs, S.masks):
+        assert mask == sum(1 << v for v in egg)
+
+
 @st.composite
 def scrambles_on(draw, max_n=6, max_eggs=8):
     G = draw(connected_multigraphs(max_n=max_n))
@@ -43,6 +49,7 @@ class TestConstruction:
         G = path_graph(4)
         S = make_scramble(G, [{2, 3}, {0, 1}, {3, 2}])
         assert S.eggs == (frozenset({0, 1}), frozenset({2, 3}))
+        assert S.masks == (0b0011, 0b1100)
         assert len(S) == 2
 
     def test_empty_egg_rejected(self):
@@ -65,6 +72,25 @@ class TestParsing:
         G = cycle_graph(5)
         S = parse_scramble("# arcs\n0 1\n\n2 3 4\n", G)
         assert S.eggs == (frozenset({0, 1}), frozenset({2, 3, 4}))
+        assert S.masks == (0b00011, 0b11100)
+
+    def test_document_without_eggs(self):
+        with pytest.raises(ScrambleFileError, match="no content"):
+            parse_scramble("# nothing\n\n", cycle_graph(4))
+
+    @given(scrambles_on(), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=60)
+    def test_round_trip_keeps_eggs_and_masks(self, S, rng):
+        # every egg written twice, in shuffled order, to exercise dedup
+        rows = [sorted(egg) for egg in S.eggs * 2]
+        rng.shuffle(rows)
+        for row in rows:
+            rng.shuffle(row)
+        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        T = parse_scramble(text, S.graph)
+        assert T.eggs == S.eggs
+        assert T.masks == S.masks
+        assert_masks_match_eggs(S)
 
     def test_bad_token(self):
         with pytest.raises(ScrambleFileError, match="integers") as info:
@@ -218,7 +244,9 @@ class TestOrder:
     @settings(deadline=None, max_examples=40)
     def test_uniform_formula_agreement(self, G, data):
         k = data.draw(st.integers(1, G.n))
-        direct = scramble_order(uniform_scramble(G, k))
+        S = uniform_scramble(G, k)
+        assert_masks_match_eggs(S)
+        direct = scramble_order(S)
         formula = uniform_order_via_invariants(G, k)
         assert direct == formula
 

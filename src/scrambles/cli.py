@@ -23,7 +23,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def build_parser():

@@ -4,10 +4,16 @@ graph, with their hitting numbers, egg-cut numbers, and orders.
 The hitting search runs as iterative deepening on the answer.  For each
 candidate size s it solves the decision problem "is there a hitting set
 of size at most s" with a depth-capped branch and bound, so a run cut
-short by a time budget still ends with a proven lower bound.
+short by a time budget still ends with a proven lower bound.  The search
+works on the transposed incidence (for each vertex, the bitmask of the
+egg indices containing it) and keeps each egg's count of allowed
+vertices as bit slices, so a node costs a few big-integer operations
+instead of a pass over the eggs.
 """
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 
 from .flow import min_separating_cut
@@ -104,54 +110,127 @@ class _Deadline(Exception):
     pass
 
 
+_WORD = (1 << 64) - 1
+# _BINARY_DIGITS[t] spells a byte as b"1" where its bit t is set, else b"0"
+_BINARY_DIGITS = tuple(bytes(0x31 if b >> t & 1 else 0x30 for b in range(256)) for t in range(8))
+
+
+def _incidence(masks, n):
+    """``inc[v]``: the bitmask of the indices of the eggs that contain v.
+
+    The egg masks are packed into 64-bit words, 64 vertices at a time.
+    Each vertex's byte column, read from the last egg to the first, is
+    spelled out in binary digits and parsed by ``int(..., 2)``, so no
+    Python object is made per egg when n <= 64.  Base 2 is exempt from
+    the interpreter's limit on the length of integer strings.
+    """
+    inc = []
+    for lo in range(0, n, 64):
+        words = array("Q", masks if n <= 64 else ((mask >> lo) & _WORD for mask in masks))
+        if sys.byteorder == "big":
+            words.byteswap()
+        packed = words.tobytes()[::-1]  # last egg first; byte j of a word at offset 7 - j
+        for v in range(lo, min(n, lo + 64)):
+            byte, bit = divmod(v - lo, 8)
+            inc.append(int(packed[7 - byte :: 8].translate(_BINARY_DIGITS[bit]), 2))
+    return inc
+
+
+def _sliced_sum(rows):
+    """Bit slices of per-egg counts: bit i of ``slices[b]`` is bit b of
+    the number of rows holding egg i."""
+    slices = []
+    for carry in rows:
+        b = 0
+        while carry:
+            if b == len(slices):
+                slices.append(carry)
+                break
+            digit = slices[b]
+            slices[b] = digit ^ carry
+            carry &= digit
+            b += 1
+    return slices
+
+
+def _sliced_decrement(slices, eggs):
+    """Subtract one from the count of every egg in ``eggs`` (each >= 1)."""
+    slices = list(slices)
+    borrow = eggs
+    for b, digit in enumerate(slices):
+        if not borrow:
+            break
+        slices[b] = digit ^ borrow
+        borrow &= slices[b]
+    return slices
+
+
+def _sliced_argmin(slices, eggs):
+    """The lowest index among ``eggs`` whose count is smallest."""
+    for digit in reversed(slices):
+        low = eggs & ~digit
+        if low:
+            eggs = low
+    return (eggs & -eggs).bit_length() - 1
+
+
 def hitting_search(S, target=None, budget=None, progress=None):
     """Prove lower bounds on the hitting number until the optimum is
     found, ``target`` is reached, or ``budget`` seconds run out.
 
     Each decision level branches on the uncovered egg with the fewest
-    allowed vertices; a greedy packing of disjoint uncovered eggs prunes
-    subtrees that cannot fit the size cap.
+    allowed vertices, lowest index first; a greedy packing of disjoint
+    uncovered eggs prunes subtrees that cannot fit the size cap.
+
+    Sets of eggs are bitmasks over egg indices, and the incidence
+    ``inc[v]`` (the eggs containing vertex v) is built once per call, so
+    covering, packing and banning a vertex are big-integer operations
+    rather than scans over the eggs.  Each egg's count of allowed
+    (unbanned) vertices is kept bit-sliced: it starts at the egg sizes,
+    banning v subtracts ``inc[v]`` with borrow, and the branching egg is
+    found in one pass over the slices.
     """
     if not S.eggs:
         raise ValueError("empty scramble")
     start = time.monotonic()
     deadline = None if budget is None else start + budget
     masks = S.masks
-    all_idx = list(range(len(masks)))
+    n = S.graph.n
+    inc = _incidence(masks, n)
+    every = (1 << len(masks)) - 1
+    outside = [every ^ row for row in inc]
 
     def greedy_cover():
         chosen = []
-        uncovered = all_idx
+        uncovered = every
         while uncovered:
-            counts = {}
-            for i in uncovered:
-                for v in _bits(masks[i]):
-                    counts[v] = counts.get(v, 0) + 1
-            pick = max(sorted(counts), key=counts.get)
+            pick = max(range(n), key=lambda v: (uncovered & inc[v]).bit_count())
+            if not uncovered & inc[pick]:
+                raise ValueError("eggs must be nonempty")
             chosen.append(pick)
-            bit = 1 << pick
-            uncovered = [i for i in uncovered if not masks[i] & bit]
+            uncovered &= outside[pick]
         return chosen
 
-    def packing_bound(indices, banned):
-        packed = 0
+    def packing(rest, banned, cap):
+        """Greedy count of disjoint allowed parts of the eggs in ``rest``,
+        lowest index first, stopping once it exceeds ``cap``."""
         count = 0
-        for i in indices:
-            cands = masks[i] & ~banned
-            if cands and not cands & packed:
-                packed |= cands
-                count += 1
+        while rest and count <= cap:
+            count += 1
+            for v in _bits(masks[(rest & -rest).bit_length() - 1] & ~banned):
+                rest &= outside[v]
         return count
 
     greedy = greedy_cover()
     upper = len(greedy)
+    sizes = _sliced_sum(inc)
     nodes = [0]
     ping = [start + 5.0]
 
     def decide(size_cap):
         """A hitting set of size <= size_cap, or None if none exists."""
 
-        def walk(uncovered, banned, chosen):
+        def walk(uncovered, banned, counts, chosen):
             nodes[0] += 1
             if deadline is not None or progress is not None:
                 now = time.monotonic()
@@ -165,40 +244,25 @@ def hitting_search(S, target=None, budget=None, progress=None):
                     )
             if not uncovered:
                 return list(chosen)
-            if len(chosen) == size_cap:
+            slack = size_cap - len(chosen)
+            if not slack:
                 return None
-            pick_cands = 0
-            pick_count = None
-            packed = 0
-            bound = 0
-            for i in uncovered:
-                cands = masks[i] & ~banned
-                cnt = cands.bit_count()
-                if cnt == 0:
-                    return None
-                if pick_count is None or cnt < pick_count:
-                    pick_count, pick_cands = cnt, cands
-                if not cands & packed:
-                    packed |= cands
-                    bound += 1
-            if len(chosen) + bound > size_cap:
+            cands = masks[_sliced_argmin(counts, uncovered)] & ~banned
+            if not cands or packing(uncovered, banned, slack) > slack:
                 return None
-            local_ban = banned
-            cands = pick_cands
-            while cands:
-                vbit = cands & -cands
-                cands ^= vbit
-                chosen.append(vbit.bit_length() - 1)
-                hit = walk([i for i in uncovered if not masks[i] & vbit], local_ban, chosen)
+            for v in _bits(cands):
+                chosen.append(v)
+                hit = walk(uncovered & outside[v], banned, counts, chosen)
                 if hit is not None:
                     return hit
                 chosen.pop()
-                local_ban |= vbit
+                banned |= 1 << v
+                counts = _sliced_decrement(counts, inc[v])
             return None
 
-        return walk(all_idx, 0, [])
+        return walk(every, 0, sizes, [])
 
-    proved = max(packing_bound(all_idx, 0), 1)
+    proved = max(packing(every, 0, len(masks)), 1)
     optimum = None
     witness = None
     complete = False

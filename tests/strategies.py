@@ -6,13 +6,14 @@ from scrambles import Multigraph
 
 
 @st.composite
-def connected_multigraphs(draw, min_n=2, max_n=7, max_extra=5):
+def connected_multigraphs(draw, min_n=2, max_n=7, max_extra=5, min_extra=0):
     """Random spanning tree plus a few extra pairs; parallel edges allowed."""
     n = draw(st.integers(min_n, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     extra = draw(
         st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=min_extra,
             max_size=max_extra,
         )
     )

@@ -84,6 +84,12 @@ class TestInfo:
         assert run_cli(["info", path]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "binary.edges"
+        path.write_bytes(b"3 2\n0 1\n\xff")
+        assert run_cli(["info", str(path)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestInvariant:
     def test_restricted_connectivity(self, graph_file, capsys):

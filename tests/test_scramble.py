@@ -1,7 +1,7 @@
 """Hitting numbers, egg cuts, and scramble orders."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -12,6 +12,7 @@ from scrambles import (
     cycle_graph,
     egg_cut_number,
     enumerate_connected_subsets,
+    folded_cube,
     has_finite_egg_cut,
     herschel_graph,
     hitting_number,
@@ -25,6 +26,7 @@ from scrambles import (
     uniform_order_via_invariants,
     uniform_scramble,
 )
+from scrambles.scramble import Scramble
 from strategies import connected_multigraphs, plain_edges
 
 
@@ -42,6 +44,19 @@ def scrambles_on(draw, max_n=6, max_eggs=8):
         pool.extend(enumerate_connected_subsets(G, k))
     eggs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_eggs))
     return make_scramble(G, eggs)
+
+
+@st.composite
+def wide_scrambles(draw):
+    """Scrambles of more than 64 eggs on 9 to 16 vertices, so egg masks
+    span more than one byte and egg index sets more than one 64-bit word."""
+    G = draw(connected_multigraphs(min_n=9, max_n=16, min_extra=4, max_extra=12))
+    pool = []
+    for k in range(2, 6):
+        pool.extend(enumerate_connected_subsets(G, k))
+    assume(len(pool) > 64)
+    rng = draw(st.randoms(use_true_random=False))
+    return make_scramble(G, rng.sample(pool, rng.randint(65, min(len(pool), 120))))
 
 
 class TestConstruction:
@@ -186,6 +201,11 @@ class TestHitting:
         with pytest.raises(ValueError, match="empty"):
             hitting_search(make_scramble(G, []))
 
+    def test_hand_built_empty_egg_rejected(self):
+        S = Scramble(path_graph(3), (frozenset(), frozenset({1})), (0, 0b010))
+        with pytest.raises(ValueError, match="nonempty"):
+            hitting_search(S)
+
     @given(scrambles_on())
     @settings(deadline=None, max_examples=60)
     def test_matches_exhaustive_oracle(self, S):
@@ -194,6 +214,52 @@ class TestHitting:
         witness = minimum_hitting_set(S)
         assert len(witness) == got
         assert all(witness & egg for egg in S.eggs)
+
+    @given(wide_scrambles(), st.integers(1, 17))
+    @settings(deadline=None, max_examples=40)
+    def test_wide_scrambles_match_exhaustive_oracle(self, S, target):
+        want = oracles.hitting_exhaustive(S.graph.n, S.eggs)
+        result = hitting_search(S)
+        assert result.complete
+        assert result.optimum == result.proved_lower == want
+        assert len(result.witness) == want
+        assert all(result.witness & egg for egg in S.eggs)
+        capped = hitting_search(S, target=target)
+        if target > want:
+            assert capped.complete
+            assert capped.optimum == want
+        else:
+            assert not capped.complete
+            assert target <= capped.proved_lower <= want
+
+    def test_more_than_64_vertices(self):
+        S = uniform_scramble(cycle_graph(70), 2)
+        result = hitting_search(S)
+        assert result.optimum == 35
+        assert all(result.witness & egg for egg in S.eggs)
+
+    @pytest.mark.parametrize(
+        "G, k, nodes",
+        [
+            (herschel_graph(), 3, 13),
+            (hypercube(4), 3, 48),
+            (hypercube(4), 4, 272),
+            (folded_cube(4), 3, 71),
+        ],
+        ids=["herschel-3", "q4-3", "q4-4", "folded4-3"],
+    )
+    def test_search_tree_is_pinned(self, G, k, nodes):
+        # the tree is fixed by branching on the lowest-index uncovered egg
+        # with the fewest allowed vertices; these are its node counts
+        result = hitting_search(uniform_scramble(G, k))
+        assert result.complete
+        assert result.nodes == nodes
+
+    def test_five_cube_floor_tree_is_pinned(self):
+        result = hitting_search(uniform_scramble(hypercube(5), 6), target=8)
+        assert not result.complete
+        assert result.proved_lower == 8
+        assert result.nodes == 76
 
 
 class TestEggCut:

@@ -8,7 +8,6 @@ from .chipfiring import (
     StrongSeparatorReport,
     check_strong_separator,
     degree,
-    effective_divisors,
     fire_subset,
     fire_vertex,
     format_divisor,

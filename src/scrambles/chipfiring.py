@@ -1,6 +1,7 @@
 """Divisors (chip configurations) on multigraphs: firing moves, the
 canonical q-reduced form via the burning process, positive-rank testing,
-exhaustive gonality search, and separator-based upper bounds.
+exact gonality by branch and bound over 0-reduced divisors, and
+separator-based upper bounds.
 
 A divisor is a plain tuple of n ints, one chip count per vertex.
 """
@@ -75,6 +76,29 @@ def _bfs_order(G, q):
     return order
 
 
+def _burn(adj, chips, q):
+    """Dhar's burning process: start a fire at q; a vertex burns once its
+    edges to burnt vertices outnumber its chips.  Returns the burnt
+    flags, each vertex's edge count into the burnt set, and how many
+    vertices burnt."""
+    n = len(chips)
+    burnt = [False] * n
+    burnt[q] = True
+    incoming = [0] * n
+    stack = [q]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for w, m in adj[u].items():
+            if not burnt[w]:
+                incoming[w] += m
+                if incoming[w] > chips[w]:
+                    burnt[w] = True
+                    stack.append(w)
+                    count += 1
+    return burnt, incoming, count
+
+
 def _reduce_along(G, D, q, order):
     """q-reduction given a BFS order starting at q.
 
@@ -110,20 +134,7 @@ def _reduce_along(G, D, q, order):
                     chips[w] += rounds * m
 
     while True:
-        burnt = [False] * n
-        burnt[q] = True
-        incoming = [0] * n
-        stack = [q]
-        burnt_count = 1
-        while stack:
-            u = stack.pop()
-            for w, m in adj[u].items():
-                if not burnt[w]:
-                    incoming[w] += m
-                    if incoming[w] > chips[w]:
-                        burnt[w] = True
-                        stack.append(w)
-                        burnt_count += 1
+        burnt, incoming, burnt_count = _burn(adj, chips, q)
         if burnt_count == n:
             return tuple(chips)
         times = min(
@@ -176,17 +187,6 @@ def has_positive_rank(G, D):
 # -- gonality ------------------------------------------------------------
 
 
-def effective_divisors(n, d):
-    """All length-n tuples of non-negative ints summing to d, in
-    ascending lexicographic order."""
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in effective_divisors(n - 1, d - first):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class GonalityResult:
     """``value``/``witness`` are set when the search found a divisor;
@@ -198,30 +198,92 @@ class GonalityResult:
     max_degree: int
 
 
-def gonality_bruteforce(G, max_degree=None):
-    """Smallest degree of a positive-rank divisor, by exhaustive search
-    over effective divisors of ascending degree.
+def _refusing_vertex(G, D, orders, first):
+    """A vertex whose reduced form of the effective divisor D holds no
+    chip, trying ``first`` before the rest; None when D has positive rank.
 
-    Returns the lexicographically first witness of the minimal degree.
-    The default degree cap is n, which is never the binding constraint on
-    a connected graph.
+    Reduction only moves chips toward q, so q with a chip already passes.
     """
+    for q in (first, *range(first), *range(first + 1, G.n)):
+        if D[q] < 1 and _reduce_along(G, D, q, orders[q])[q] < 1:
+            return q
+    return None
+
+
+def gonality_bruteforce(G, max_degree=None):
+    """Smallest degree of a positive-rank divisor, by exact branch and
+    bound over 0-reduced divisors.
+
+    Every positive-rank effective divisor is equivalent to a unique
+    0-reduced one, c + j*(0), where c is superstable (a fire from 0 burns
+    every vertex), c(0) = 0 and j >= 1.  Superstables are closed under
+    removing chips, and positive rank under adding them, so each
+    superstable c needs one rank test, at the largest j that would still
+    beat the best degree so far; only a success lowers the best, and j
+    then steps down.  The search seeds the best with j chips on 0 alone,
+    then visits superstables by ascending degree, one depth-first pass
+    per degree that adds chips at non-decreasing vertices.
+
+    Returns the first 0-reduced positive-rank divisor of the minimal
+    degree that the search meets.  The default degree cap is n, which is
+    never the binding constraint on a connected graph.
+    """
+    if G.n == 0:
+        raise ValueError("graph has no vertices")
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    cap = G.n if max_degree is None else max_degree
+    n = G.n
+    cap = n if max_degree is None else max_degree
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
-    orders = [_bfs_order(G, q) for q in range(G.n)]
-    for d in range(cap + 1):
-        for D in effective_divisors(G.n, d):
-            ok = True
-            for q in range(G.n):
-                if _reduce_along(G, D, q, orders[q])[q] < 1:
-                    ok = False
+    adj = G._adj
+    orders = [_bfs_order(G, q) for q in range(n)]
+    chips = [0] * n
+    best = cap + 1
+    witness = None
+    refused = 0
+
+    for j in range(1, cap + 1):
+        chips[0] = j
+        q = _refusing_vertex(G, chips, orders, refused)
+        if q is None:
+            best, witness = j, tuple(chips)
+            break
+        refused = q
+    chips[0] = 0
+
+    def leaves(t, start):
+        """Superstables of degree t with chips only at vertices >= start,
+        each yielded as the live chip vector."""
+        if t == 0:
+            yield chips
+            return
+        for v in range(start, n):
+            chips[v] += 1
+            if _burn(adj, chips, 0)[2] == n:
+                yield from leaves(t - 1, v)
+            chips[v] -= 1
+
+    t = 1
+    while t <= best - 2:
+        for c in leaves(t, 1):
+            j = best - 1 - t
+            while j >= 1:
+                c[0] = j
+                q = _refusing_vertex(G, c, orders, refused)
+                if q is not None:
+                    refused = q
                     break
-            if ok:
-                return GonalityResult(d, D, False, cap)
-    return GonalityResult(None, None, True, cap)
+                best, witness = t + j, tuple(c)
+                j -= 1
+            c[0] = 0
+            if t > best - 2:
+                break
+        t += 1
+
+    if witness is None:
+        return GonalityResult(None, None, True, cap)
+    return GonalityResult(best, witness, False, cap)
 
 
 # -- strong separators ---------------------------------------------------

@@ -73,7 +73,7 @@ def build_parser():
     p = sub.add_parser("gonality", help="chip-firing gonality")
     gsub = p.add_subparsers(dest="gonality_command", required=True)
 
-    b = gsub.add_parser("brute", help="exhaustive search over divisor degrees")
+    b = gsub.add_parser("brute", help="exact search over 0-reduced divisors")
     b.add_argument("file")
     b.add_argument("--max-degree", type=int)
 

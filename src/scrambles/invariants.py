@@ -46,7 +46,7 @@ def min_connected_outdegree(G, k):
     subsets = enumerate_connected_subsets(G, k)
     if not subsets:
         return INF
-    return min(G._outdegree_mask(G._vertex_mask(s)) for s in subsets)
+    return min(G._outdegree_mask(sum(1 << v for v in s)) for s in subsets)
 
 
 def is_lambda_k_optimal(G, k):

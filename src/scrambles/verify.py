@@ -21,7 +21,7 @@ from .invariants import (
 )
 from .scramble import scramble_order, uniform_order_via_invariants, uniform_scramble
 
-DEFAULT_BRUTE_CAP = 12
+DEFAULT_BRUTE_CAP = 16
 
 
 @dataclass(frozen=True)

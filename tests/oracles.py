@@ -269,3 +269,86 @@ def is_q_reduced(n, edges, D, q):
             ):
                 return False
     return True
+
+
+def distances_from(n, edges, q):
+    nbr = adjacency(n, edges)
+    dist = {q: 0}
+    queue = [q]
+    while queue:
+        a = queue.pop(0)
+        for b in sorted(nbr[a]):
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    return dist
+
+
+def fire_set(edges, D, subset):
+    """Fire every vertex of the set once: one chip per crossing edge."""
+    out = list(D)
+    for u, v in edges:
+        if (u in subset) != (v in subset):
+            giver, taker = (u, v) if u in subset else (v, u)
+            out[giver] -= 1
+            out[taker] += 1
+    return out
+
+
+def q_reduce_dhar(n, edges, D, q):
+    """The q-reduced divisor equivalent to D, one firing at a time.
+
+    Debt is cleared farthest vertex first, by firing the ball of vertices
+    strictly closer to q, which pays every vertex at the debtor's
+    distance and leaves farther ones alone.  Then Dhar's burning: a fire
+    starts at q, a vertex burns once its edges to burnt vertices
+    outnumber its chips, and whatever survives fires once, until
+    everything burns.
+    """
+    dist = distances_from(n, edges, q)
+    D = list(D)
+    while True:
+        debtors = [v for v in range(n) if v != q and D[v] < 0]
+        if not debtors:
+            break
+        far = max(dist[v] for v in debtors)
+        D = fire_set(edges, D, {v for v in range(n) if dist[v] < far})
+    while True:
+        burnt = {q}
+        grew = True
+        while grew:
+            grew = False
+            for v in range(n):
+                if v in burnt:
+                    continue
+                heat = sum(1 for a, b in edges if (a == v and b in burnt) or (b == v and a in burnt))
+                if heat > D[v]:
+                    burnt.add(v)
+                    grew = True
+        if len(burnt) == n:
+            return tuple(D)
+        D = fire_set(edges, D, set(range(n)) - burnt)
+
+
+def has_positive_rank_dhar(n, edges, D):
+    """Rank >= 1: for every q, D minus a chip on q reduces to a divisor
+    with no debt on q."""
+    if sum(D) < 1:
+        return False
+    for q in range(n):
+        charged = list(D)
+        charged[q] -= 1
+        if q_reduce_dhar(n, edges, charged, q)[q] < 0:
+            return False
+    return True
+
+
+def gonality_lexicographic(n, edges, max_degree):
+    """First positive-rank effective divisor, by ascending degree and then
+    ascending lexicographic order, as ``(degree, divisor)``; ``None`` when
+    no divisor of degree <= max_degree has positive rank."""
+    for d in range(max_degree + 1):
+        for D in effective_of_degree(n, d):
+            if has_positive_rank_dhar(n, edges, D):
+                return d, D
+    return None

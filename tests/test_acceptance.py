@@ -122,6 +122,8 @@ def test_criterion_04():
     even = tuple(1 - bin(v).count("1") % 2 for v in range(16))
     assert degree(even) == 8
     assert has_positive_rank(G, even)
+    assert gonality_bruteforce(G).value == 8
+    assert gonality_bruteforce(G, max_degree=7).exceeded_cap
 
 
 def test_criterion_05_excluded_by_default():

@@ -14,7 +14,6 @@ from scrambles import (
     complete_graph,
     cycle_graph,
     degree,
-    effective_divisors,
     fire_subset,
     fire_vertex,
     format_divisor,
@@ -210,18 +209,16 @@ class TestPositiveRank:
             *plain_edges(G), D
         )
 
+    @given(graph_and_divisor(max_n=7, low=-2, high=3))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_dhar_oracle(self, pair):
+        G, D = pair
+        assert has_positive_rank(G, D) == oracles.has_positive_rank_dhar(
+            *plain_edges(G), D
+        )
+
 
 class TestGonality:
-    def test_effective_divisors_lexicographic(self):
-        assert list(effective_divisors(3, 2)) == [
-            (0, 0, 2),
-            (0, 1, 1),
-            (0, 2, 0),
-            (1, 0, 1),
-            (1, 1, 0),
-            (2, 0, 0),
-        ]
-
     def test_known_values(self):
         assert gonality_bruteforce(path_graph(5)).value == 1
         assert gonality_bruteforce(cycle_graph(5)).value == 2
@@ -246,6 +243,36 @@ class TestGonality:
     def test_matches_lattice_oracle(self, G):
         got = gonality_bruteforce(G).value
         assert got == oracles.gonality_lattice(*plain_edges(G))
+
+    def test_single_vertex(self):
+        G = Multigraph(1, [])
+        result = gonality_bruteforce(G)
+        assert result.value == 1
+        assert result.witness == (1,)
+        assert gonality_bruteforce(G, max_degree=0).exceeded_cap
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            gonality_bruteforce(Multigraph(0, []))
+
+    def test_tree_below_one_chip_exceeds_cap(self):
+        result = gonality_bruteforce(path_graph(4), max_degree=0)
+        assert result.exceeded_cap
+        assert result.value is None
+
+    @given(connected_multigraphs(min_n=1, max_n=7, max_extra=6))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_lexicographic_oracle(self, G):
+        n, edges = plain_edges(G)
+        value, _ = oracles.gonality_lexicographic(n, edges, n)
+        result = gonality_bruteforce(G)
+        assert result.value == value
+        assert min(result.witness) >= 0
+        assert degree(result.witness) == value
+        assert oracles.has_positive_rank_dhar(n, edges, result.witness)
+        capped = gonality_bruteforce(G, max_degree=value - 1)
+        assert capped.exceeded_cap
+        assert capped.value is None
 
 
 class TestStrongSeparators:

@@ -36,10 +36,16 @@ class TestMain:
         assert report.cross_check.value == 5
 
     def test_q4_at_4_is_above_brute_cap(self):
-        report = verify_main(hypercube(4), 4)
+        report = verify_main(hypercube(4), 4, brute_cap=12)
         assert report.applicable
         assert report.conclusion_value == 8
         assert report.cross_check.status == "skipped"
+
+    def test_q4_at_4_is_cross_checked_by_default(self):
+        report = verify_main(hypercube(4), 4)
+        assert report.conclusion_value == 8
+        assert report.cross_check.status == "verified"
+        assert report.cross_check.value == 8
 
     def test_triangle_fails_girth(self):
         report = verify_main(complete_graph(4), 4)
@@ -263,7 +269,7 @@ class TestReports:
         assert "[fail]" in text
 
     def test_render_notes_skipped_cross_check(self):
-        text = render_report(verify_main(hypercube(4), 4))
+        text = render_report(verify_main(hypercube(4), 4, brute_cap=12))
         assert "not independently verified" in text
 
     def test_upper_bound_reported_even_when_not_applicable(self):

@@ -9,7 +9,7 @@ import sys
 
 from . import chipfiring, graphs, scramble, verify
 from .graphs import InputFormatError, fmt_count
-from .invariants import compute_invariant
+from .invariants import compute_invariant, restricted_edge_connectivity
 
 
 class _UsageError(Exception):
@@ -175,14 +175,18 @@ def _cmd_scramble_uniform(args):
             return 0
         print(f"hitting number >= {result.proved_lower} (search incomplete)")
         return 3
+    if G.is_connected():
+        # on a connected graph the uniform k-scramble's egg-cut number is lambda_k
+        e = restricted_edge_connectivity(G, args.k)
+    else:
+        e = scramble.egg_cut_number(S)
     if args.order:
-        print(fmt_count(scramble.scramble_order(S)))
+        print(fmt_count(scramble.order_with_egg_cut(S, e)))
         return 0
     if args.eggcut:
-        print(fmt_count(scramble.egg_cut_number(S)))
+        print(fmt_count(e))
         return 0
     h = scramble.hitting_number(S)
-    e = scramble.egg_cut_number(S)
     print(f"hitting number: {h}")
     print(f"egg-cut number: {fmt_count(e)}")
     print(f"order: {fmt_count(min(h, e))}")

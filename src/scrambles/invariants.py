@@ -1,7 +1,11 @@
 """Exact small-graph invariants: k-restricted edge connectivity, the
 minimum outdegree over connected k-sets, and component-bounded
-independence.  All searches are exponential in the vertex count and are
-meant for graphs of desk scale (roughly n <= 20).
+independence.
+
+Every search here is exponential in the worst case.  The restricted
+edge connectivity is a branch and bound over connected vertex sets and
+reaches 32-vertex cubes in seconds; the connected-set and independence
+searches enumerate or branch over vertex subsets directly.
 """
 
 from .graphs import INF, _bits, enumerate_connected_subsets
@@ -13,30 +17,71 @@ def restricted_edge_connectivity(G, k):
     exists.
 
     Equivalently (by minimality) the smallest outdegree over splits of
-    the vertices into two connected parts of size >= k each, which is
-    what the search enumerates.
+    the vertices into two connected parts of size >= k each.  The
+    search grows the part S holding vertex 0, which stays connected by
+    construction.  Each node keeps S, an excluded set X and the edge
+    count e(S, X); it branches on the boundary vertex (adjacent to S,
+    not in X) with the most edges into S, first adding it to S, then
+    to X.  Both moves only add edges to e(S, X).  Each boundary vertex
+    w adds at least min(e(w, S), e(w, X)) more edges to the final cut,
+    whichever side it ends on, and these edges are distinct for
+    distinct w; a node is pruned once e(S, X) plus that sum reaches the
+    best split found.  It is also pruned when S outgrows n - k
+    vertices, or when S is still below k vertices and its component
+    outside X is too.  A node with no boundary is a leaf whose count is
+    the outdegree of S; it is a split when S has at least k vertices
+    and the rest of the graph is connected.
     """
     if k < 1:
         raise ValueError("component size bound must be at least 1")
     if not G.is_connected():
         raise ValueError("graph must be connected")
     n = G.n
-    best = INF
     if 2 * k > n:
-        return best
+        return INF
     full = (1 << n) - 1
-    # vertex n-1 always sits in the complement, so each split is seen once
-    for mask in range(1, 1 << (n - 1)):
-        size = mask.bit_count()
-        if size < k or n - size < k:
-            continue
-        if not G._mask_connected(mask):
-            continue
-        if not G._mask_connected(full ^ mask):
-            continue
-        cut = G._outdegree_mask(mask)
-        if cut < best:
-            best = cut
+    nbr = G._mask
+    adj = [tuple(d.items()) for d in G._adj]
+    into_s = [0] * n  # edges from each vertex into S
+    into_x = [0] * n  # edges from each vertex into X
+    best = INF
+
+    def grow(s, size, reach, x, cut):
+        # reach is S together with its neighbourhood
+        nonlocal best
+        boundary = reach & ~(s | x)
+        if not boundary:
+            if size >= k and G._mask_connected(full ^ s):
+                best = cut
+            return
+        v, most, bound = -1, -1, cut
+        for w in _bits(boundary):
+            a, b = into_s[w], into_x[w]
+            bound += a if a < b else b
+            if a > most:
+                v, most = w, a
+        if bound >= best:
+            return
+        bit = 1 << v
+        if size < n - k and cut + into_x[v] < best:
+            for w, m in adj[v]:
+                into_s[w] += m
+            grow(s | bit, size + 1, reach | nbr[v], x, cut + into_x[v])
+            for w, m in adj[v]:
+                into_s[w] -= m
+        if cut + most < best:
+            x |= bit
+            if size < k and G._component_of(0, full ^ x).bit_count() < k:
+                return
+            for w, m in adj[v]:
+                into_x[w] += m
+            grow(s, size, reach, x, cut + most)
+            for w, m in adj[v]:
+                into_x[w] -= m
+
+    for w, m in adj[0]:
+        into_s[w] += m
+    grow(1, 1, 1 | nbr[0], 0, 0)
     return best
 
 

@@ -352,12 +352,16 @@ def egg_cut_number(S):
 
 
 def scramble_order(S):
-    """min(hitting number, egg-cut number).
+    """min(hitting number, egg-cut number), both computed from the eggs."""
+    return order_with_egg_cut(S, egg_cut_number(S))
 
-    When the egg-cut number is finite the hitting search only needs to
-    reach it as a lower bound, so the search is capped there.
+
+def order_with_egg_cut(S, e):
+    """min(hitting number, e) for a scramble whose egg-cut number is e.
+
+    When e is finite the hitting search only needs to reach it as a
+    lower bound, so the search is capped there.
     """
-    e = egg_cut_number(S)
     if e == INF:
         return hitting_number(S)
     result = hitting_search(S, target=e)

@@ -112,6 +112,24 @@ def lambda_k_by_deletion(n, edges, k):
     return best
 
 
+def lambda_k_by_masks(n, edges, k):
+    """Restricted edge connectivity by visiting every split of the
+    vertices into two connected parts of at least k vertices each.
+
+    Vertex n-1 always sits on the second side, so each split is seen
+    once; 2^(n-1) masks in all.
+    """
+    best = INF
+    for mask in range(1, 1 << (n - 1)):
+        side = {v for v in range(n) if mask >> v & 1}
+        if len(side) < k or n - len(side) < k:
+            continue
+        rest = set(range(n)) - side
+        if is_connected_subset(n, edges, side) and is_connected_subset(n, edges, rest):
+            best = min(best, crossing_edges(edges, side))
+    return best
+
+
 def egg_cut_bipartition(n, edges, eggs):
     """Minimum crossing count over bipartitions with a whole egg on each
     side; INF when no such bipartition exists."""

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from scrambles import egg_cut_number, generate, scramble_order, uniform_scramble
 from scrambles.cli import run_cli
+from scrambles.graphs import fmt_count
 
 
 @pytest.fixture
@@ -158,6 +160,33 @@ class TestScrambleUniform:
         for flag in ("--order", "--hitting", "--eggcut"):
             assert run_cli(["scramble", "uniform", "3", path, flag]) == 0
             assert capsys.readouterr().out.strip() == "5"
+
+    def test_disconnected_graph_keeps_the_egg_level_cut(self, write, capsys):
+        path = write("triangles.edges", "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        capsys.readouterr()
+        assert run_cli(["scramble", "uniform", "2", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "hitting number: 4",
+            "egg-cut number: 0",
+            "order: 0",
+        ]
+        for flag in ("--order", "--eggcut"):
+            assert run_cli(["scramble", "uniform", "2", path, flag]) == 0
+            assert capsys.readouterr().out.strip() == "0"
+
+    @pytest.mark.parametrize(
+        "family, params, k",
+        [("cycle", ["7"], 3), ("crown", ["4"], 2), ("complete-bipartite", ["2", "3"], 2),
+         ("hypercube", ["3"], 3), ("herschel", [], 5), ("path", ["5"], 3)],
+    )
+    def test_egg_cut_matches_the_egg_level_engine(self, graph_file, capsys, family, params, k):
+        S = uniform_scramble(generate(family, [int(p) for p in params]), k)
+        path = graph_file(family, *params)
+        capsys.readouterr()
+        assert run_cli(["scramble", "uniform", str(k), path, "--eggcut"]) == 0
+        assert capsys.readouterr().out.strip() == fmt_count(egg_cut_number(S))
+        assert run_cli(["scramble", "uniform", str(k), path, "--order"]) == 0
+        assert capsys.readouterr().out.strip() == fmt_count(scramble_order(S))
 
     def test_quantity_flags_are_exclusive(self, graph_file, capsys):
         path = graph_file("cycle", "4")

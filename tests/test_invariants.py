@@ -15,6 +15,7 @@ from scrambles import (
     compute_invariant,
     cycle_graph,
     dissociation_number,
+    egg_cut_number,
     herschel_graph,
     hypercube,
     independence_number,
@@ -23,6 +24,7 @@ from scrambles import (
     min_connected_outdegree,
     path_graph,
     restricted_edge_connectivity,
+    uniform_scramble,
 )
 from strategies import connected_multigraphs, plain_edges
 
@@ -71,6 +73,20 @@ class TestRestrictedConnectivity:
         assert restricted_edge_connectivity(G, k) == oracles.lambda_k_by_deletion(
             n, edges, k
         )
+
+    @given(connected_multigraphs(max_n=12, max_extra=12))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_mask_oracle_at_every_k(self, G):
+        n, edges = plain_edges(G)
+        for k in range(1, n + 1):
+            assert restricted_edge_connectivity(G, k) == oracles.lambda_k_by_masks(
+                n, edges, k
+            )
+
+    def test_five_cube_values(self):
+        Q5 = hypercube(5)
+        assert [restricted_edge_connectivity(Q5, k) for k in (2, 3, 4)] == [8, 11, 12]
+        assert egg_cut_number(uniform_scramble(Q5, 2)) == 8
 
 
 class TestConnectedOutdegree:

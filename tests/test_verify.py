@@ -12,6 +12,7 @@ from scrambles import (
     complete_graph,
     crown,
     cycle_graph,
+    folded_cube,
     gonality_bruteforce,
     herschel_graph,
     hypercube,
@@ -46,6 +47,13 @@ class TestMain:
         assert report.conclusion_value == 8
         assert report.cross_check.status == "verified"
         assert report.cross_check.value == 8
+
+    @pytest.mark.parametrize("G, lam", [(hypercube(5), "11"), (folded_cube(5), "14")])
+    def test_32_vertex_cubes_at_4(self, G, lam):
+        report = verify_main(G, 4)
+        assert report.hypotheses[1].witness == {"lambda": lam, "bound": 16}
+        assert not report.applicable
+        assert report.cross_check.status == "skipped"
 
     def test_triangle_fails_girth(self):
         report = verify_main(complete_graph(4), 4)

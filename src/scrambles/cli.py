@@ -157,7 +157,8 @@ def _cmd_scramble_uniform(args):
             if given:
                 raise _UsageError(f"{flag} only applies to --hitting")
     G = graphs.parse_edge_list(_read(args.file))
-    S = scramble.uniform_scramble(G, args.k)
+    if not 1 <= args.k <= G.n:
+        raise ValueError(f"subset size {args.k} out of range for {G.n} vertices")
     if args.hitting:
         progress = None
         if args.long_running:
@@ -165,7 +166,10 @@ def _cmd_scramble_uniform(args):
                 print(message, file=sys.stderr, flush=True)
 
         result = scramble.hitting_search(
-            S, target=args.prove_at_least, budget=args.budget, progress=progress
+            scramble.uniform_scramble(G, args.k),
+            target=args.prove_at_least,
+            budget=args.budget,
+            progress=progress,
         )
         if result.optimum is not None:
             print(result.optimum)
@@ -175,16 +179,20 @@ def _cmd_scramble_uniform(args):
             return 0
         print(f"hitting number >= {result.proved_lower} (search incomplete)")
         return 3
+    S = None
     if G.is_connected():
         # on a connected graph the uniform k-scramble's egg-cut number is lambda_k
         e = restricted_edge_connectivity(G, args.k)
     else:
+        S = scramble.uniform_scramble(G, args.k)
         e = scramble.egg_cut_number(S)
-    if args.order:
-        print(fmt_count(scramble.order_with_egg_cut(S, e)))
-        return 0
     if args.eggcut:
         print(fmt_count(e))
+        return 0
+    if S is None:
+        S = scramble.uniform_scramble(G, args.k)
+    if args.order:
+        print(fmt_count(scramble.order_with_egg_cut(S, e)))
         return 0
     h = scramble.hitting_number(S)
     print(f"hitting number: {h}")

@@ -102,10 +102,12 @@ def render_report(report):
             # both computations already appear in the conclusion line
             lines.append(f"  agreement: {report.cross_check.status}")
         elif report.cross_check.status == "skipped":
-            lines.append(
-                "  brute-force gonality: skipped"
-                " (conclusion asserted, not independently verified)"
+            reason = (
+                "conclusion asserted, not independently verified"
+                if report.applicable
+                else "not applicable, so no conclusion to check"
             )
+            lines.append(f"  brute-force gonality: skipped ({reason})")
         else:
             value = report.cross_check.value
             shown = "-" if value is None else str(value)

@@ -4,8 +4,9 @@ Each test here pins one advertised result to its exact value and holds
 the computation to a wall-clock budget.  Every criterion prints a single
 summary line on the real stdout so the verdicts are visible in any run.
 Criterion 05 runs the full hitting search on the 25,312 eggs of the
-32-vertex cube, twice; it is excluded from the default run and opted
-into with ``-m longrun``.
+32-vertex cube, twice, and criterion 13 its component independence
+numbers at c = 5 and 6; both are excluded from the default run and
+opted into with ``-m longrun``.
 """
 
 import functools
@@ -158,6 +159,13 @@ def test_criterion_05_five_cube_hitting_number(tmp_path, capsys):
     ]
 
 
+def test_criterion_13_excluded_by_default():
+    _announce(
+        "criterion 13 five-cube component independence: SKIPPED"
+        " (opt in with -m longrun)"
+    )
+
+
 @criterion(6, "crown graph bipartite condition", 30.0)
 def test_criterion_06():
     G = crown(4)
@@ -260,3 +268,13 @@ def test_criterion_12(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["invariant", "lambda-k", "6", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "16"
+
+
+@pytest.mark.longrun
+@criterion(13, "five-cube component independence", 60.0)
+def test_criterion_13():
+    """alpha_5 of the 32-vertex cube is 32 minus criterion 05's hitting
+    number of the 6-uniform scramble; alpha_6 is two larger."""
+    Q5 = hypercube(5)
+    assert component_independence_number(Q5, 5) == 32 - 16
+    assert component_independence_number(Q5, 6) == 18

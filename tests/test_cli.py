@@ -188,6 +188,27 @@ class TestScrambleUniform:
         assert run_cli(["scramble", "uniform", str(k), path, "--order"]) == 0
         assert capsys.readouterr().out.strip() == fmt_count(scramble_order(S))
 
+    def test_egg_cut_on_a_connected_graph_builds_no_eggs(self, graph_file, capsys, monkeypatch):
+        path = graph_file("hypercube", "5")
+        capsys.readouterr()
+
+        def no_eggs(G, k):
+            raise AssertionError("uniform scramble built")
+
+        monkeypatch.setattr("scrambles.scramble.uniform_scramble", no_eggs)
+        assert run_cli(["scramble", "uniform", "6", path, "--eggcut"]) == 0
+        assert capsys.readouterr().out.strip() == "16"
+
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_egg_size_out_of_range(self, graph_file, capsys, k):
+        path = graph_file("hypercube", "3")
+        capsys.readouterr()
+        for flags in ([], ["--eggcut"], ["--order"], ["--hitting"]):
+            assert run_cli(["scramble", "uniform", k, path, *flags]) == 1
+            assert capsys.readouterr().err.strip() == (
+                f"error: subset size {k} out of range for 8 vertices"
+            )
+
     def test_quantity_flags_are_exclusive(self, graph_file, capsys):
         path = graph_file("cycle", "4")
         capsys.readouterr()

@@ -1,6 +1,8 @@
 """Restricted edge connectivity, connected outdegrees, and component
 independence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +18,16 @@ from scrambles import (
     cycle_graph,
     dissociation_number,
     egg_cut_number,
+    folded_cube,
     herschel_graph,
+    hitting_number,
     hypercube,
     independence_number,
     is_lambda_k_optimal,
     max_component_independent_set,
     min_connected_outdegree,
     path_graph,
+    random_connected_multigraph,
     restricted_edge_connectivity,
     uniform_scramble,
 )
@@ -153,7 +158,39 @@ class TestComponentIndependence:
         for comp in H.connected_components(witness):
             assert len(comp) <= 2
 
-    @given(connected_multigraphs(max_n=7), st.data())
+    @pytest.mark.parametrize(
+        "c, witness",
+        [
+            (1, {0, 1, 6, 7, 8, 9}),
+            (2, {0, 1, 6, 7, 8, 9}),
+            (3, {0, 1, 2, 8, 9, 10}),
+            (4, {0, 1, 4, 5, 6, 7, 8, 9}),
+        ],
+    )
+    def test_herschel_witnesses(self, c, witness):
+        assert max_component_independent_set(herschel_graph(), c) == witness
+
+    def test_32_vertex_cube_values(self):
+        Q5 = hypercube(5)
+        assert component_independence_number(Q5, 2) == 16
+        assert component_independence_number(Q5, 3) == 16
+        assert component_independence_number(folded_cube(5), 2) == 16
+
+    def test_hitting_number_identity(self):
+        # the uniform k-scramble's hitting number is n - alpha_{k-1},
+        # computed here by the independent hitting-set search
+        rng = random.Random(1307)
+        for trial in range(12):
+            n = rng.randint(13, 16)
+            G = random_connected_multigraph(
+                rng, n, extra_edges=rng.randint(0, n), allow_parallel=trial % 2 == 0
+            )
+            for k in range(1, n + 1):
+                assert n - component_independence_number(G, k - 1) == hitting_number(
+                    uniform_scramble(G, k)
+                ), (sorted(G.edge_list()), k)
+
+    @given(connected_multigraphs(max_n=11, max_extra=12), st.data())
     @settings(deadline=None)
     def test_matches_exhaustive_oracle(self, G, data):
         ell = data.draw(st.integers(0, G.n))
@@ -162,7 +199,7 @@ class TestComponentIndependence:
             oracles.alpha_component_exhaustive(n, edges, ell)
         )
 
-    @given(connected_multigraphs(max_n=7), st.data())
+    @given(connected_multigraphs(max_n=11, max_extra=12), st.data())
     @settings(deadline=None)
     def test_witness_components_respect_limit(self, G, data):
         ell = data.draw(st.integers(0, G.n))

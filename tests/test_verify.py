@@ -280,6 +280,11 @@ class TestReports:
         text = render_report(verify_main(hypercube(4), 4, brute_cap=12))
         assert "not independently verified" in text
 
+    def test_render_skip_without_conclusion_asserts_nothing(self):
+        text = render_report(verify_main(hypercube(5), 4))
+        assert "brute-force gonality: skipped (not applicable, so no conclusion to check)" in text
+        assert "asserted" not in text
+
     def test_upper_bound_reported_even_when_not_applicable(self):
         # C_8 can drop every third vertex: five survivors in runs of <= 2
         report = verify_main(cycle_graph(8), 4)

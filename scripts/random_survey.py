@@ -13,11 +13,11 @@ import random
 
 from scrambles.chipfiring import gonality_bruteforce
 from scrambles.graphs import random_connected_multigraph
-from scrambles.scramble import scramble_order, uniform_scramble
+from scrambles.scramble import uniform_order_via_invariants
 
 
 def best_uniform_order(G):
-    return max(scramble_order(uniform_scramble(G, k)) for k in range(1, G.n + 1))
+    return max(uniform_order_via_invariants(G, k) for k in range(1, G.n + 1))
 
 
 def main():

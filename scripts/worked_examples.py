@@ -20,7 +20,7 @@ from scrambles.graphs import (
     herschel_graph,
     hypercube,
 )
-from scrambles.scramble import egg_cut_number, hitting_number, uniform_scramble
+from scrambles.scramble import uniform_egg_cut_number, uniform_hitting_number
 
 
 @dataclass
@@ -58,9 +58,8 @@ def main():
     print("-" * len(header))
     for ex in EXAMPLES:
         G = ex.graph
-        S = uniform_scramble(G, ex.egg_size)
-        h = hitting_number(S)
-        e = egg_cut_number(S)
+        h = uniform_hitting_number(G, ex.egg_size)
+        e = uniform_egg_cut_number(G, ex.egg_size)
         order = fmt_count(min(h, e))
         if args.skip_gonality:
             gon = bound = "-"

@@ -62,6 +62,8 @@ from .scramble import (
     minimum_hitting_set,
     parse_scramble,
     scramble_order,
+    uniform_egg_cut_number,
+    uniform_hitting_number,
     uniform_order_via_invariants,
     uniform_scramble,
 )

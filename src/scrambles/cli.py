@@ -9,7 +9,7 @@ import sys
 
 from . import chipfiring, graphs, scramble, verify
 from .graphs import InputFormatError, fmt_count
-from .invariants import compute_invariant, restricted_edge_connectivity
+from .invariants import compute_invariant
 
 
 class _UsageError(Exception):
@@ -157,8 +157,6 @@ def _cmd_scramble_uniform(args):
             if given:
                 raise _UsageError(f"{flag} only applies to --hitting")
     G = graphs.parse_edge_list(_read(args.file))
-    if not 1 <= args.k <= G.n:
-        raise ValueError(f"subset size {args.k} out of range for {G.n} vertices")
     if args.hitting:
         progress = None
         if args.long_running:
@@ -179,22 +177,14 @@ def _cmd_scramble_uniform(args):
             return 0
         print(f"hitting number >= {result.proved_lower} (search incomplete)")
         return 3
-    S = None
-    if G.is_connected():
-        # on a connected graph the uniform k-scramble's egg-cut number is lambda_k
-        e = restricted_edge_connectivity(G, args.k)
-    else:
-        S = scramble.uniform_scramble(G, args.k)
-        e = scramble.egg_cut_number(S)
+    e = scramble.uniform_egg_cut_number(G, args.k)
     if args.eggcut:
         print(fmt_count(e))
         return 0
-    if S is None:
-        S = scramble.uniform_scramble(G, args.k)
+    h = scramble.uniform_hitting_number(G, args.k)
     if args.order:
-        print(fmt_count(scramble.order_with_egg_cut(S, e)))
+        print(fmt_count(min(h, e)))
         return 0
-    h = scramble.hitting_number(S)
     print(f"hitting number: {h}")
     print(f"egg-cut number: {fmt_count(e)}")
     print(f"order: {fmt_count(min(h, e))}")

@@ -152,6 +152,10 @@ class Multigraph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for {self.n} vertices")
 
+    def _check_subset_size(self, k):
+        if not 1 <= k <= self.n:
+            raise ValueError(f"subset size {k} out of range for {self.n} vertices")
+
     def _vertex_mask(self, subset):
         mask = 0
         for v in subset:
@@ -307,8 +311,7 @@ def enumerate_connected_subsets(G, k):
     to unseen higher-numbered vertices guarantees uniqueness.
     """
     n = G.n
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size {k} out of range for {n} vertices")
+    G._check_subset_size(k)
     nbr = G._mask
     found = []
 

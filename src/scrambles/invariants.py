@@ -215,8 +215,6 @@ def compute_invariant(G, kind, parameter=0):
     if kind == "lambda-k":
         return restricted_edge_connectivity(G, parameter)
     if kind == "xi-k":
-        if not 1 <= parameter <= G.n:
-            raise ValueError(f"subset size {parameter} out of range")
         return min_connected_outdegree(G, parameter)
     if kind == "alpha-c":
         return component_independence_number(G, parameter)

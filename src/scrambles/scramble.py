@@ -1,14 +1,14 @@
 """Scrambles: collections of connected vertex sets (eggs) on a shared
 graph, with their hitting numbers, egg-cut numbers, and orders.
 
-The hitting search runs as iterative deepening on the answer.  For each
-candidate size s it solves the decision problem "is there a hitting set
-of size at most s" with a depth-capped branch and bound, so a run cut
-short by a time budget still ends with a proven lower bound.  The search
-works on the transposed incidence (for each vertex, the bitmask of the
-egg indices containing it) and keeps each egg's count of allowed
-vertices as bit slices, so a node costs a few big-integer operations
-instead of a pass over the eggs.
+The egg-level engines serve explicit scrambles.  The hitting search
+works on a transposed incidence (for each vertex, the bitmask of the
+eggs containing it) and deepens on the answer, so a run cut short by a
+time budget still ends with a proven lower bound.  The egg cut runs a
+max flow per disjoint egg pair.  The uniform k-scramble (every connected
+k-set) takes its numbers from graph invariants instead: its hitting
+number is n - alpha_{k-1}, and on a connected graph its egg-cut number
+is lambda_k, so no egg is built there.
 """
 
 import sys
@@ -16,7 +16,7 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .flow import min_separating_cut
+from .flow import _max_flow
 from .graphs import INF, InputFormatError, _bits, _content_rows, enumerate_connected_subsets
 from .invariants import component_independence_number, restricted_edge_connectivity
 
@@ -338,46 +338,52 @@ def egg_cut_number(S):
     """Minimum edges crossing any split that leaves whole eggs on both
     sides; INF when no two eggs are disjoint.
 
-    Runs the two-set max flow over all disjoint egg pairs, pruning each
-    flow at the best cut seen so far.
+    Runs the two-set max flow on the stored egg masks over all disjoint
+    egg pairs, pruning each flow at the best cut seen so far.  The eggs
+    were checked when the scramble was built, so no pair is re-checked.
     """
     G = S.graph
+    masks = S.masks
     best = INF
     for i, j in _disjoint_pairs(S):
-        limit = None if best == INF else best
-        cut = min_separating_cut(G, S.eggs[i], S.eggs[j], limit=limit)
-        if cut < best:
-            best = cut
+        best = min(best, _max_flow(G, masks[i], masks[j], None if best == INF else best))
     return best
 
 
 def scramble_order(S):
-    """min(hitting number, egg-cut number), both computed from the eggs."""
-    return order_with_egg_cut(S, egg_cut_number(S))
+    """min(hitting number, egg-cut number), both computed from the eggs;
+    the hitting search stops once the egg-cut number is a proven bound."""
+    e = egg_cut_number(S)
+    optimum = hitting_search(S, target=None if e == INF else e).optimum
+    return e if optimum is None else min(optimum, e)
 
 
-def order_with_egg_cut(S, e):
-    """min(hitting number, e) for a scramble whose egg-cut number is e.
+# -- uniform scrambles from graph invariants ------------------------------
 
-    When e is finite the hitting search only needs to reach it as a
-    lower bound, so the search is capped there.
-    """
-    if e == INF:
-        return hitting_number(S)
-    result = hitting_search(S, target=e)
-    if result.optimum is not None:
-        return min(result.optimum, e)
-    return e
+
+def uniform_hitting_number(G, k):
+    """Hitting number of the uniform k-scramble, n - alpha_{k-1}: a set
+    meets every connected k-set iff the rest has no component above k - 1."""
+    G._check_subset_size(k)
+    hitting = G.n - component_independence_number(G, k - 1)
+    if not hitting:  # every component is smaller than k: no eggs
+        raise ValueError("empty scramble")
+    return hitting
+
+
+def uniform_egg_cut_number(G, k):
+    """Egg-cut number of the uniform k-scramble: lambda_k on a connected
+    graph, where no egg is built; elsewhere, where that identity is not
+    proven, the egg-level scan."""
+    G._check_subset_size(k)
+    if G.is_connected():
+        return restricted_edge_connectivity(G, k)
+    return egg_cut_number(uniform_scramble(G, k))
 
 
 def uniform_order_via_invariants(G, k):
-    """Order of the uniform k-scramble computed from graph invariants
-    alone: min of the k-restricted edge connectivity and n minus the
-    (k-1)-component independence number."""
-    if not 1 <= k <= G.n:
-        raise ValueError(f"egg size {k} out of range")
+    """Order of the uniform k-scramble on a connected graph, from graph
+    invariants alone."""
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    lam = restricted_edge_connectivity(G, k)
-    alpha = component_independence_number(G, k - 1)
-    return min(lam, G.n - alpha)
+    return min(uniform_egg_cut_number(G, k), uniform_hitting_number(G, k))

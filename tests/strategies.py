@@ -24,6 +24,16 @@ def connected_multigraphs(draw, min_n=2, max_n=7, max_extra=5, min_extra=0):
 
 
 @st.composite
+def disjoint_unions(draw, max_n=4):
+    """Two connected multigraphs side by side, the second renumbered
+    after the first."""
+    first = draw(connected_multigraphs(max_n=max_n))
+    second = draw(connected_multigraphs(max_n=max_n))
+    shifted = [(u + first.n, v + first.n) for u, v in second.edge_list()]
+    return Multigraph(first.n + second.n, first.edge_list() + shifted)
+
+
+@st.composite
 def simple_connected_graphs(draw, min_n=2, max_n=7, max_extra=6):
     n = draw(st.integers(min_n, max_n))
     edges = {(u, v) for u, v in ((draw(st.integers(0, v - 1)), v) for v in range(1, n))}

@@ -198,6 +198,22 @@ class TestScrambleUniform:
         monkeypatch.setattr("scrambles.scramble.uniform_scramble", no_eggs)
         assert run_cli(["scramble", "uniform", "6", path, "--eggcut"]) == 0
         assert capsys.readouterr().out.strip() == "16"
+        # hitting number 32 - alpha_2 = 16, egg-cut number lambda_3 = 11
+        assert run_cli(["scramble", "uniform", "3", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "hitting number: 16",
+            "egg-cut number: 11",
+            "order: 11",
+        ]
+        assert run_cli(["scramble", "uniform", "3", path, "--order"]) == 0
+        assert capsys.readouterr().out.strip() == "11"
+
+    def test_no_connected_k_set_is_an_empty_scramble(self, write, capsys):
+        path = write("triangles.edges", "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        capsys.readouterr()
+        for flags in ([], ["--order"], ["--eggcut"], ["--hitting"]):
+            assert run_cli(["scramble", "uniform", "4", path, *flags]) == 1
+            assert capsys.readouterr().err.strip() == "error: empty scramble"
 
     @pytest.mark.parametrize("k", ["0", "9"])
     def test_egg_size_out_of_range(self, graph_file, capsys, k):

@@ -23,11 +23,13 @@ from scrambles import (
     parse_scramble,
     path_graph,
     scramble_order,
+    uniform_egg_cut_number,
+    uniform_hitting_number,
     uniform_order_via_invariants,
     uniform_scramble,
 )
 from scrambles.scramble import Scramble
-from strategies import connected_multigraphs, plain_edges
+from strategies import connected_multigraphs, disjoint_unions, plain_edges
 
 
 def assert_masks_match_eggs(S):
@@ -306,15 +308,23 @@ class TestOrder:
         e = egg_cut_number(S)
         assert scramble_order(S) == min(h, e)
 
-    @given(connected_multigraphs(max_n=6), st.data())
-    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(connected_multigraphs(max_n=6), disjoint_unions()), st.data())
+    @settings(deadline=None, max_examples=80)
     def test_uniform_formula_agreement(self, G, data):
         k = data.draw(st.integers(1, G.n))
         S = uniform_scramble(G, k)
         assert_masks_match_eggs(S)
-        direct = scramble_order(S)
-        formula = uniform_order_via_invariants(G, k)
-        assert direct == formula
+        if not S.eggs:  # every component of a disjoint union is below k
+            for number in (uniform_hitting_number, uniform_egg_cut_number):
+                with pytest.raises(ValueError, match="empty scramble"):
+                    number(G, k)
+            return
+        assert uniform_hitting_number(G, k) == hitting_number(S)
+        assert uniform_egg_cut_number(G, k) == egg_cut_number(S)
+        if G.is_connected():
+            direct = scramble_order(S)
+            formula = uniform_order_via_invariants(G, k)
+            assert direct == formula
 
     def test_formula_argument_checks(self):
         with pytest.raises(ValueError, match="out of range"):

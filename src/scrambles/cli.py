@@ -58,7 +58,7 @@ def build_parser():
     u.add_argument("--long-running", action="store_true",
                    help="with --hitting: progress lines on stderr")
     u.add_argument("--budget", type=float,
-                   help="with --hitting: seconds before giving up")
+                   help="with --hitting: seconds (>= 0, inf for none) before giving up")
     u.add_argument("--prove-at-least", type=int,
                    help="with --hitting: stop once the hitting number is proven >= this")
 

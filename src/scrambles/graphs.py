@@ -15,7 +15,8 @@ import random
 
 INF = float("inf")
 
-# Vertex sets are int bitmasks; documents may declare at most this many.
+# Vertex sets are int bitmasks; documents may declare, and generate()
+# may build, at most this many.
 MAX_VERTICES = 64
 
 
@@ -302,10 +303,21 @@ class Multigraph:
 
 # -- connected subset enumeration --------------------------------------
 
+_ONES_FIRST = str.maketrans("01", "10")  # so "1" sorts before "0"
+
+
+def _lex_sorted(masks):
+    """Bitmasks in the canonical order of eggs and connected subsets:
+    lexicographic by ascending vertex tuple.  The key spells a mask in
+    binary from vertex 0 to its largest member, "1" before "0", so at the
+    first vertex where two sets differ the one holding it wins, unless
+    the other has no member left there and, as a prefix, is shorter."""
+    return sorted(masks, key=lambda mask: bin(mask)[:1:-1].translate(_ONES_FIRST))
+
 
 def enumerate_connected_subsets(G, k):
-    """All connected k-vertex subsets, each exactly once, sorted
-    lexicographically by ascending vertex tuple.
+    """All connected k-vertex subsets as vertex bitmasks, each exactly
+    once, sorted lexicographically by ascending vertex tuple.
 
     Grows sets from their minimum vertex; a candidate frontier restricted
     to unseen higher-numbered vertices guarantees uniqueness.
@@ -333,8 +345,7 @@ def enumerate_connected_subsets(G, k):
 
         extend(sub0, 1, ext0, sub0 | ext0)
 
-    ordered = sorted(tuple(_bits(mask)) for mask in found)
-    return [frozenset(t) for t in ordered]
+    return _lex_sorted(found)
 
 
 # -- edge-list documents ------------------------------------------------
@@ -470,27 +481,33 @@ def herschel_graph():
     return Multigraph(11, _HERSCHEL_EDGES)
 
 
+# family -> (generator, parameter count, whether the parameters give more
+# than MAX_VERTICES vertices); the cubes compare d with 6 = log2(64)
 _FAMILIES = {
-    "hypercube": (hypercube, 1),
-    "folded-cube": (folded_cube, 1),
-    "crown": (crown, 1),
-    "complete-bipartite": (complete_bipartite, 2),
-    "complete": (complete_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "path": (path_graph, 1),
-    "herschel": (herschel_graph, 0),
+    "hypercube": (hypercube, 1, lambda d: d > 6),
+    "folded-cube": (folded_cube, 1, lambda d: d > 6),
+    "crown": (crown, 1, lambda m: 2 * m > MAX_VERTICES),
+    "complete-bipartite": (complete_bipartite, 2, lambda a, b: a + b > MAX_VERTICES),
+    "complete": (complete_graph, 1, lambda n: n > MAX_VERTICES),
+    "cycle": (cycle_graph, 1, lambda n: n > MAX_VERTICES),
+    "path": (path_graph, 1, lambda n: n > MAX_VERTICES),
+    "herschel": (herschel_graph, 0, lambda: False),
 }
 
 
 def generate(family, params=()):
-    """Build a named graph; ``family`` is one of the generator names."""
+    """Build a named graph; ``family`` is one of the generator names.
+    Parameters that give more than ``MAX_VERTICES`` vertices, which no
+    edge list may declare, are refused before anything is built."""
     if family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {family!r} (known: {known})")
-    fn, arity = _FAMILIES[family]
+    fn, arity, too_large = _FAMILIES[family]
     params = tuple(params)
     if len(params) != arity:
         raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
+    if too_large(*params):
+        raise ValueError(f"family {family!r} would have more than {MAX_VERTICES} vertices")
     return fn(*params)
 
 

@@ -94,7 +94,7 @@ def min_connected_outdegree(G, k):
     subsets = enumerate_connected_subsets(G, k)
     if not subsets:
         return INF
-    return min(G._outdegree_mask(sum(1 << v for v in s)) for s in subsets)
+    return min(map(G._outdegree_mask, subsets))
 
 
 def is_lambda_k_optimal(G, k):

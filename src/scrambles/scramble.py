@@ -1,6 +1,10 @@
 """Scrambles: collections of connected vertex sets (eggs) on a shared
 graph, with their hitting numbers, egg-cut numbers, and orders.
 
+An egg is stored only as its vertex bitmask, from enumeration or parsing
+through every search; vertex sets appear only in results (witnesses and
+the derived ``Scramble.eggs``).
+
 The egg-level engines serve explicit scrambles.  The hitting search
 works on a transposed incidence (for each vertex, the bitmask of the
 eggs containing it) and deepens on the answer, so a run cut short by a
@@ -17,7 +21,14 @@ from array import array
 from dataclasses import dataclass
 
 from .flow import _max_flow
-from .graphs import INF, InputFormatError, _bits, _content_rows, enumerate_connected_subsets
+from .graphs import (
+    INF,
+    InputFormatError,
+    _bits,
+    _content_rows,
+    _lex_sorted,
+    enumerate_connected_subsets,
+)
 from .invariants import component_independence_number, restricted_edge_connectivity
 
 
@@ -27,22 +38,25 @@ class ScrambleFileError(InputFormatError):
 
 @dataclass(frozen=True, eq=False)
 class Scramble:
-    """Eggs stored deduplicated and sorted by ascending vertex tuple;
-    ``masks[i]`` is the vertex bitmask of ``eggs[i]``."""
+    """Eggs as vertex bitmasks, deduplicated and sorted lexicographically
+    by ascending vertex tuple; ``eggs`` spells them out as vertex sets,
+    built afresh on each read."""
 
     graph: object
-    eggs: tuple
     masks: tuple
 
+    @property
+    def eggs(self):
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
+
     def __len__(self):
-        return len(self.eggs)
+        return len(self.masks)
 
 
 def _canonical(G, masks):
     """The scramble on G with the given validated egg bitmasks, deduplicated
-    and sorted by ascending vertex tuple."""
-    masks = sorted(set(masks), key=lambda mask: tuple(_bits(mask)))
-    return Scramble(G, tuple(frozenset(_bits(mask)) for mask in masks), tuple(masks))
+    and put in canonical order."""
+    return Scramble(G, tuple(_lex_sorted(set(masks))))
 
 
 def make_scramble(G, eggs):
@@ -61,8 +75,7 @@ def make_scramble(G, eggs):
 
 def uniform_scramble(G, k):
     """The scramble whose eggs are all connected k-vertex subsets."""
-    eggs = tuple(enumerate_connected_subsets(G, k))
-    return Scramble(G, eggs, tuple(sum(1 << v for v in egg) for egg in eggs))
+    return Scramble(G, tuple(enumerate_connected_subsets(G, k)))
 
 
 def parse_scramble(text, G):
@@ -95,15 +108,19 @@ class HittingSearchResult:
     """Outcome of the iterative-deepening hitting search.
 
     ``proved_lower`` always holds (the hitting number is at least this);
-    ``optimum``/``witness`` are set when the search finished.
+    ``optimum``/``witness`` are set when the search finished, which is
+    what ``complete`` reports.
     """
 
     proved_lower: int
     optimum: object
     witness: object
-    complete: bool
     elapsed: float
     nodes: int
+
+    @property
+    def complete(self):
+        return self.optimum is not None
 
 
 class _Deadline(Exception):
@@ -189,8 +206,12 @@ def hitting_search(S, target=None, budget=None, progress=None):
     (unbanned) vertices is kept bit-sliced: it starts at the egg sizes,
     banning v subtracts ``inc[v]`` with borrow, and the branching egg is
     found in one pass over the slices.
+
+    ``budget`` is None or a number of seconds >= 0 (inf included).
     """
-    if not S.eggs:
+    if budget is not None and not budget >= 0:  # also refuses NaN
+        raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
+    if not S.masks:
         raise ValueError("empty scramble")
     start = time.monotonic()
     deadline = None if budget is None else start + budget
@@ -265,7 +286,6 @@ def hitting_search(S, target=None, budget=None, progress=None):
     proved = max(packing(every, 0, len(masks)), 1)
     optimum = None
     witness = None
-    complete = False
     try:
         while True:
             if target is not None and proved >= target:
@@ -273,13 +293,11 @@ def hitting_search(S, target=None, budget=None, progress=None):
             if proved >= upper:
                 optimum = upper
                 witness = frozenset(greedy)
-                complete = True
                 break
             hit = decide(proved)
             if hit is not None:
                 optimum = proved
                 witness = frozenset(hit)
-                complete = True
                 break
             proved += 1
             if progress is not None:
@@ -293,7 +311,6 @@ def hitting_search(S, target=None, budget=None, progress=None):
         proved_lower=proved,
         optimum=optimum,
         witness=witness,
-        complete=complete,
         elapsed=time.monotonic() - start,
         nodes=nodes[0],
     )
@@ -314,9 +331,9 @@ def minimum_hitting_set(S):
 
 def _disjoint_pairs(S):
     """Yield the index pairs i < j of disjoint eggs in ascending order."""
-    if not S.eggs:
-        raise ValueError("empty scramble")
     masks = S.masks
+    if not masks:
+        raise ValueError("empty scramble")
     for i, a in enumerate(masks):
         for j in range(i + 1, len(masks)):
             if not a & masks[j]:
@@ -330,7 +347,7 @@ def has_finite_egg_cut(S):
     pairwise-overlapping scrambles have no finite one.
     """
     for i, j in _disjoint_pairs(S):
-        return True, (S.eggs[i], S.eggs[j])
+        return True, (frozenset(_bits(S.masks[i])), frozenset(_bits(S.masks[j])))
     return False, None
 
 

@@ -49,6 +49,11 @@ def simple_connected_graphs(draw, min_n=2, max_n=7, max_extra=6):
     return Multigraph(n, sorted(edges))
 
 
+def vertex_set(mask):
+    """The vertices of a bitmask, as a frozenset."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def plain_edges(G):
     """The (n, edges-with-repetition) encoding the test oracles expect."""
     return G.n, list(G.edge_list())

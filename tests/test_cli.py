@@ -55,6 +55,22 @@ class TestGen:
         assert run_cli(["gen", "complete-bipartite", "2"]) == 1
         assert "parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, param", [("hypercube", "7"), ("complete", "65"), ("crown", "33")]
+    )
+    def test_more_than_64_vertices_is_a_usage_error(self, family, param, capsys):
+        # the edge-list reader refuses such a graph, so gen writes none
+        assert run_cli(["gen", family, param]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 64 vertices" in captured.err
+
+    def test_64_vertices_round_trip_through_info(self, graph_file, capsys):
+        path = graph_file("hypercube", "6")
+        capsys.readouterr()
+        assert run_cli(["info", path]) == 0
+        assert "vertices: 64" in capsys.readouterr().out
+
 
 class TestInfo:
     def test_summary_lines(self, graph_file, capsys):
@@ -253,6 +269,16 @@ class TestScrambleUniform:
         assert code == 3
         assert captured.out.strip() == "hitting number >= 1 (search incomplete)"
         assert captured.err == ""
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_budget_must_be_a_non_negative_number(self, graph_file, capsys, budget):
+        path = graph_file("cycle", "3")
+        capsys.readouterr()
+        code = run_cli(["scramble", "uniform", "2", path, "--hitting", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "budget must be a number of seconds >= 0" in captured.err
 
     def test_long_running_finds_the_optimum(self, graph_file, capsys):
         path = graph_file("hypercube", "3")

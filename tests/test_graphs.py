@@ -27,7 +27,7 @@ from scrambles import (
     path_graph,
     random_connected_multigraph,
 )
-from strategies import connected_multigraphs, plain_edges
+from strategies import connected_multigraphs, plain_edges, vertex_set
 
 TRIANGLE_DOC = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_EDGE_DOC = "2 2\n0 1\n0 1\n"
@@ -262,6 +262,19 @@ class TestGenerators:
         with pytest.raises(ValueError, match="at least three"):
             generate("cycle", [2])
 
+    @pytest.mark.parametrize(
+        "family, params", [("hypercube", [7]), ("complete", [65]), ("crown", [33])]
+    )
+    def test_generate_rejects_more_than_64_vertices(self, family, params):
+        with pytest.raises(ValueError, match="more than 64 vertices"):
+            generate(family, params)
+
+    def test_generate_admits_64_vertices(self):
+        assert generate("hypercube", [6]).n == 64
+        assert generate("folded-cube", [6]).n == 64
+        assert generate("crown", [32]).n == 64
+        assert generate("complete-bipartite", [32, 32]).n == 64
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(0, 6))
     @settings(deadline=None)
     def test_random_graphs_are_connected(self, seed, n, extra):
@@ -277,7 +290,7 @@ class TestConnectedSubsets:
     def test_path_pairs_are_edges(self):
         G = path_graph(4)
         subsets = enumerate_connected_subsets(G, 2)
-        assert subsets == [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+        assert subsets == [0b0011, 0b0110, 0b1100]
 
     def test_size_bounds_checked(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -287,7 +300,7 @@ class TestConnectedSubsets:
 
     def test_whole_graph_single_subset(self):
         G = cycle_graph(5)
-        assert enumerate_connected_subsets(G, 5) == [frozenset(range(5))]
+        assert enumerate_connected_subsets(G, 5) == [0b11111]
 
     def test_q4_triple_count(self):
         # frozen from the combinations-filter oracle
@@ -301,7 +314,7 @@ class TestConnectedSubsets:
         k = data.draw(st.integers(1, G.n))
         fast = enumerate_connected_subsets(G, k)
         slow = oracles.connected_ksubsets(*plain_edges(G), k)
-        assert [tuple(sorted(s)) for s in fast] == slow
+        assert [tuple(sorted(vertex_set(s))) for s in fast] == slow
 
     @given(connected_multigraphs(max_n=6), st.data())
     @settings(deadline=None)
@@ -310,8 +323,8 @@ class TestConnectedSubsets:
         subsets = enumerate_connected_subsets(G, k)
         assert len(set(subsets)) == len(subsets)
         for s in subsets:
-            assert len(s) == k
-            assert G.is_connected_set(s)
+            assert len(vertex_set(s)) == k
+            assert G.is_connected_set(vertex_set(s))
 
     def test_count_on_complete_graph_is_binomial(self):
         G = complete_graph(6)

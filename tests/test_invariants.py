@@ -31,7 +31,7 @@ from scrambles import (
     restricted_edge_connectivity,
     uniform_scramble,
 )
-from strategies import connected_multigraphs, plain_edges
+from strategies import connected_multigraphs, plain_edges, vertex_set
 
 
 class TestRestrictedConnectivity:
@@ -119,7 +119,7 @@ class TestConnectedOutdegree:
         from scrambles import enumerate_connected_subsets
 
         k = data.draw(st.integers(1, max(1, G.n - 1)))
-        subsets = [s for s in enumerate_connected_subsets(G, k) if len(s) < G.n]
+        subsets = [s for s in map(vertex_set, enumerate_connected_subsets(G, k)) if len(s) < G.n]
         if not subsets:
             return
         assert min_connected_outdegree(G, k) == min(G.outdegree(s) for s in subsets)

@@ -1,5 +1,7 @@
 """Hitting numbers, egg cuts, and scramble orders."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from scrambles import (
     uniform_scramble,
 )
 from scrambles.scramble import Scramble
-from strategies import connected_multigraphs, disjoint_unions, plain_edges
+from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
 
 
 def assert_masks_match_eggs(S):
@@ -43,7 +45,7 @@ def scrambles_on(draw, max_n=6, max_eggs=8):
     G = draw(connected_multigraphs(max_n=max_n))
     pool = []
     for k in range(1, G.n + 1):
-        pool.extend(enumerate_connected_subsets(G, k))
+        pool.extend(map(vertex_set, enumerate_connected_subsets(G, k)))
     eggs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_eggs))
     return make_scramble(G, eggs)
 
@@ -55,7 +57,7 @@ def wide_scrambles(draw):
     G = draw(connected_multigraphs(min_n=9, max_n=16, min_extra=4, max_extra=12))
     pool = []
     for k in range(2, 6):
-        pool.extend(enumerate_connected_subsets(G, k))
+        pool.extend(map(vertex_set, enumerate_connected_subsets(G, k)))
     assume(len(pool) > 64)
     rng = draw(st.randoms(use_true_random=False))
     return make_scramble(G, rng.sample(pool, rng.randint(65, min(len(pool), 120))))
@@ -68,6 +70,20 @@ class TestConstruction:
         assert S.eggs == (frozenset({0, 1}), frozenset({2, 3}))
         assert S.masks == (0b0011, 0b1100)
         assert len(S) == 2
+
+    def test_mixed_sizes_in_vertex_tuple_order(self):
+        # a prefix sorts before its extensions; a smaller next vertex wins
+        eggs = [{0, 2}, {1, 2, 3}, {0, 1, 5}, {0, 1}, {0}, {0, 1, 2}]
+        S = make_scramble(complete_graph(6), eggs)
+        assert [tuple(sorted(egg)) for egg in S.eggs] == [
+            (0,), (0, 1), (0, 1, 2), (0, 1, 5), (0, 2), (1, 2, 3),
+        ]
+
+    @given(scrambles_on(max_eggs=12))
+    @settings(deadline=None, max_examples=60)
+    def test_eggs_sorted_by_vertex_tuple(self, S):
+        tuples = [tuple(sorted(egg)) for egg in S.eggs]
+        assert tuples == sorted(set(tuples))
 
     def test_empty_egg_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -82,6 +98,20 @@ class TestConstruction:
         assert len(S) == 12
         S3 = uniform_scramble(hypercube(4), 3)
         assert len(S3) == 96
+
+    def test_uniform_scramble_holds_one_copy_of_its_eggs(self):
+        # 25,312 eggs kept once, as int bitmasks, take about 1.2 MB; a
+        # second copy as frozensets would take about 20 MB more
+        G = hypercube(5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            S = uniform_scramble(G, 6)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(S) == 25312
+        assert retained < 6 * 2**20
 
 
 class TestParsing:
@@ -187,6 +217,17 @@ class TestHitting:
         assert result.proved_lower == 1
         assert result.elapsed < 1.0
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1])
+    def test_budget_must_be_a_non_negative_number(self, budget):
+        S = uniform_scramble(complete_graph(3), 2)
+        with pytest.raises(ValueError, match="budget must be a number of seconds >= 0"):
+            hitting_search(S, budget=budget)
+
+    def test_infinite_budget_is_no_limit(self):
+        result = hitting_search(uniform_scramble(complete_graph(3), 2), budget=float("inf"))
+        assert result.complete
+        assert result.optimum == 2
+
     def test_budget_is_honored(self):
         S = uniform_scramble(hypercube(4), 4)
         result = hitting_search(S, budget=0.2)
@@ -204,7 +245,7 @@ class TestHitting:
             hitting_search(make_scramble(G, []))
 
     def test_hand_built_empty_egg_rejected(self):
-        S = Scramble(path_graph(3), (frozenset(), frozenset({1})), (0, 0b010))
+        S = Scramble(path_graph(3), (0, 0b010))
         with pytest.raises(ValueError, match="nonempty"):
             hitting_search(S)
 

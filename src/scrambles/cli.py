@@ -239,30 +239,26 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    token = args.theorem
+    token, colon, raw = args.theorem.partition(":")
     parameter = None
-    if ":" in token:
-        token, _, raw = token.partition(":")
+    if colon:
         try:
             parameter = int(raw)
         except ValueError:
             raise _UsageError(f"bad theorem parameter {raw!r}") from None
     token = token.replace("-", "_")
-    G = graphs.parse_edge_list(_read(args.file))
-    if token == "main":
-        if parameter is None:
-            raise _UsageError("main needs a parameter, e.g. main:4")
-        report = verify.verify_main(G, parameter, brute_cap=args.brute_cap)
-    elif token in ("girth3", "girth4a", "girth4b", "girth5"):
-        report = verify.verify_girth_family(G, token, brute_cap=args.brute_cap)
-    elif token in ("bipartite1", "bipartite2"):
-        report = verify.verify_bipartite(G, token, brute_cap=args.brute_cap)
-    elif token == "order_ek":
-        if parameter is None:
-            raise _UsageError("order-ek needs a parameter, e.g. order-ek:3")
-        report = verify.verify_order_ek(G, parameter)
-    else:
+    theorem = verify.THEOREMS.get(token)
+    if theorem is None:
         raise _UsageError(f"unknown theorem {args.theorem!r}")
+    name = token.replace("_", "-")
+    if theorem.example is None and parameter is not None:
+        raise _UsageError(f"{name} takes no parameter")
+    if theorem.example is not None and parameter is None:
+        raise _UsageError(f"{name} needs a parameter, e.g. {name}:{theorem.example}")
+    G = graphs.parse_edge_list(_read(args.file))
+    verifier = getattr(verify, theorem.verifier)
+    caps = {"brute_cap": args.brute_cap} if theorem.cross_checked else {}
+    report = verifier(G, token if parameter is None else parameter, **caps)
     print(verify.report_to_json(report) if args.json else verify.render_report(report))
     return 0
 
@@ -301,3 +297,7 @@ def run_cli(argv):
 
 def main():
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

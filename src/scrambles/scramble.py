@@ -54,22 +54,22 @@ class Scramble:
 
 
 def _canonical(G, masks):
-    """The scramble on G with the given validated egg bitmasks, deduplicated
-    and put in canonical order."""
-    return Scramble(G, tuple(_lex_sorted(set(masks))))
+    """The scramble on G with the given set of validated egg bitmasks, put
+    in canonical order."""
+    return Scramble(G, tuple(_lex_sorted(masks)))
 
 
 def make_scramble(G, eggs):
     """Validate eggs against G (nonempty, in range, connected) and build
     the canonical scramble."""
-    masks = []
+    masks = set()
     for egg in eggs:
         mask = G._vertex_mask(egg)
         if not mask:
             raise ValueError("eggs must be nonempty")
         if not G._mask_connected(mask):
             raise ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
-        masks.append(mask)
+        masks.add(mask)
     return _canonical(G, masks)
 
 
@@ -80,8 +80,9 @@ def uniform_scramble(G, k):
 
 def parse_scramble(text, G):
     """One egg per line as whitespace-separated vertex indices; ``#``
-    lines are comments.  Eggs are validated against G on load."""
-    masks = []
+    lines are comments.  Eggs are validated against G on load, each
+    distinct egg once, at the first line that holds it."""
+    masks = set()
     for lineno, tokens in _content_rows(text, ScrambleFileError):
         try:
             vertices = [int(tok) for tok in tokens]
@@ -94,9 +95,11 @@ def parse_scramble(text, G):
             if not 0 <= v < G.n:
                 raise ScrambleFileError(f"vertex {v} out of range", lineno)
             mask |= 1 << v
+        if mask in masks:
+            continue
         if not G._mask_connected(mask):
             raise ScrambleFileError("egg does not induce a connected subgraph", lineno)
-        masks.append(mask)
+        masks.add(mask)
     return _canonical(G, masks)
 
 

@@ -6,20 +6,25 @@ conclusion against brute-force gonality when the graph is small enough.
 All threshold comparisons are done in scaled integer arithmetic (for
 example ``min valence >= (floor(n/2) + 2) / 2`` becomes ``2*delta >=
 floor(n/2) + 2``), so no rounding can flip a hypothesis.
+
+A report is applicable when every hypothesis holds, and only then is its
+conclusion computed.  Every conclusion but bipartite1's is n - alpha_c,
+the hitting number of the uniform (c + 1)-scramble.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 
 from .chipfiring import gonality_bruteforce
 from .graphs import INF, count_to_json, fmt_count
-from .invariants import (
-    component_independence_number,
-    independence_number,
-    min_connected_outdegree,
-    restricted_edge_connectivity,
+from .invariants import independence_number, min_connected_outdegree, restricted_edge_connectivity
+from .scramble import (
+    scramble_order,
+    uniform_hitting_number,
+    uniform_order_via_invariants,
+    uniform_scramble,
 )
-from .scramble import scramble_order, uniform_order_via_invariants, uniform_scramble
 
 DEFAULT_BRUTE_CAP = 16
 
@@ -41,36 +46,40 @@ class CrossCheck:
 class TheoremReport:
     theorem_id: str
     hypotheses: list
-    applicable: bool
-    conclusion_value: object = None
-    conclusion: str = None
+    conclusion_value: object = None  # set only when applicable
     parameter: object = None
     upper_bound: object = None
     lemma_checks: list = field(default_factory=list)
     cross_check: object = None
 
-    def to_dict(self):
-        def check_dict(c):
-            return {"name": c.name, "holds": c.holds, "witness": c.witness}
+    @property
+    def applicable(self):
+        return all(c.holds for c in self.hypotheses)
 
-        if self.conclusion_value is None:
-            value = None
-        elif isinstance(self.conclusion_value, tuple):
-            value = {"pair": [count_to_json(x) for x in self.conclusion_value]}
-        else:
-            value = count_to_json(self.conclusion_value)
+    @property
+    def conclusion(self):
+        value = self.conclusion_value
+        if isinstance(value, tuple):
+            direct, formula = map(fmt_count, value)
+            return f"uniform order = {direct} (scramble) / {formula} (invariants)"
+        return None if value is None else f"scramble number = gonality = {value}"
+
+    def to_dict(self):
+        value = self.conclusion_value
+        if isinstance(value, tuple):
+            value = {"pair": [count_to_json(x) for x in value]}
+        elif value is not None:
+            value = count_to_json(value)
         return {
             "theorem_id": self.theorem_id,
             "parameter": self.parameter,
             "applicable": self.applicable,
-            "hypotheses": [check_dict(c) for c in self.hypotheses],
+            "hypotheses": [asdict(c) for c in self.hypotheses],
             "conclusion_value": value,
             "conclusion": self.conclusion,
             "upper_bound": None if self.upper_bound is None else count_to_json(self.upper_bound),
-            "lemma_checks": [check_dict(c) for c in self.lemma_checks],
-            "cross_check": None
-            if self.cross_check is None
-            else {"status": self.cross_check.status, "value": self.cross_check.value},
+            "lemma_checks": [asdict(c) for c in self.lemma_checks],
+            "cross_check": None if self.cross_check is None else asdict(self.cross_check),
         }
 
 
@@ -79,24 +88,24 @@ def report_to_json(report):
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
+def _check_line(c, prefix=""):
+    mark = "ok" if c.holds else "fail"
+    extra = "" if c.witness is None else f"  [{c.witness}]"
+    return f"  [{mark:4}] {prefix}{c.name}{extra}"
+
+
 def render_report(report):
     lines = []
     head = report.theorem_id
     if report.parameter is not None:
         head += f" (parameter {report.parameter})"
     lines.append(f"{head}: {'applicable' if report.applicable else 'not applicable'}")
-    for c in report.hypotheses:
-        mark = "ok" if c.holds else "fail"
-        extra = "" if c.witness is None else f"  [{c.witness}]"
-        lines.append(f"  [{mark:4}] {c.name}{extra}")
+    lines += [_check_line(c) for c in report.hypotheses]
     if report.upper_bound is not None:
         lines.append(f"  upper bound: gonality <= {fmt_count(report.upper_bound)}")
-    if report.applicable and report.conclusion is not None:
+    if report.conclusion is not None:
         lines.append(f"  conclusion: {report.conclusion}")
-    for c in report.lemma_checks:
-        mark = "ok" if c.holds else "fail"
-        extra = "" if c.witness is None else f"  [{c.witness}]"
-        lines.append(f"  [{mark:4}] lemma {c.name}{extra}")
+    lines += [_check_line(c, "lemma ") for c in report.lemma_checks]
     if report.cross_check is not None:
         if report.theorem_id == "order_ek":
             # both computations already appear in the conclusion line
@@ -141,157 +150,158 @@ def _gonality_cross_check(G, expected, cap):
     return CrossCheck("verified", result.value)
 
 
-def _finish(report, G, brute_cap):
-    report.applicable = all(c.holds for c in report.hypotheses)
-    expected = report.conclusion_value if report.applicable else None
-    report.cross_check = _gonality_cross_check(G, expected, brute_cap)
+def _report(theorem_id, G, hypotheses, conclude, brute_cap, **fields):
+    """The report on one theorem; ``conclude()`` runs only when it is
+    applicable, and brute force checks the value it gives."""
+    report = TheoremReport(theorem_id, hypotheses, **fields)
+    if report.applicable:
+        report.conclusion_value = conclude()
+    report.cross_check = _gonality_cross_check(G, report.conclusion_value, brute_cap)
     return report
 
 
 def _valence_sum_checks(G, adjacent_floor, nonadjacent_floor):
-    """Scan all vertex pairs; return pass/fail plus a failing witness."""
-    worst_adj = None
-    worst_non = None
+    """Scan all vertex pairs; for adjacent, then nonadjacent pairs, the first
+    of least valence sum below its floor as [u, v, sum], else None."""
+    low = {True: None, False: None}
     for u in range(G.n):
         for v in range(u + 1, G.n):
+            adjacent = G.mult(u, v) > 0
+            floor = adjacent_floor if adjacent else nonadjacent_floor
             total = G.valence(u) + G.valence(v)
-            if G.mult(u, v) > 0:
-                if adjacent_floor is not None and total < adjacent_floor:
-                    if worst_adj is None or total < worst_adj[2]:
-                        worst_adj = [u, v, total]
-            else:
-                if nonadjacent_floor is not None and total < nonadjacent_floor:
-                    if worst_non is None or total < worst_non[2]:
-                        worst_non = [u, v, total]
-    return worst_adj, worst_non
+            if floor is not None and total < floor:
+                if low[adjacent] is None or total < low[adjacent][2]:
+                    low[adjacent] = [u, v, total]
+    return low[True], low[False]
 
 
 def verify_main(G, l, brute_cap=DEFAULT_BRUTE_CAP):
     """Girth at least l plus a large (l-1)-restricted edge connectivity
     force scramble order and gonality to meet at n minus the
-    (l-2)-component independence number."""
+    (l-2)-component independence number.  Needs 3 <= l <= n + 1, so
+    that a connected (l-1)-set exists."""
     if l < 3:
         raise ValueError("parameter must be at least 3")
     _require_usable(G)
-    report = TheoremReport("main", [], False, parameter=l)
+    G._check_subset_size(l - 1)
     g = G.girth()
-    girth_ok = g >= l
-    report.hypotheses.append(
-        HypothesisCheck("girth_at_least_parameter", girth_ok, f"girth={fmt_count(g)}")
-    )
-    if girth_ok:
-        bound = G.n - component_independence_number(G, l - 2)
-        report.upper_bound = bound
+    bound, holds, witness = None, False, "not evaluated"
+    if g >= l:
+        bound = uniform_hitting_number(G, l - 1)
         lam = restricted_edge_connectivity(G, l - 1)
-        report.hypotheses.append(
-            HypothesisCheck(
-                "restricted_connectivity_at_least_bound",
-                lam >= bound,
-                {"lambda": fmt_count(lam), "bound": bound},
-            )
-        )
-        report.conclusion_value = bound
-        report.conclusion = f"scramble number = gonality = {bound}"
-    else:
-        report.hypotheses.append(
-            HypothesisCheck("restricted_connectivity_at_least_bound", False, "not evaluated")
-        )
-    return _finish(report, G, brute_cap)
+        holds, witness = lam >= bound, {"lambda": fmt_count(lam), "bound": bound}
+    hypotheses = [
+        HypothesisCheck("girth_at_least_parameter", g >= l, f"girth={fmt_count(g)}"),
+        HypothesisCheck("restricted_connectivity_at_least_bound", holds, witness),
+    ]
+    return _report("main", G, hypotheses, lambda: bound, brute_cap, parameter=l, upper_bound=bound)
+
+
+def _girth3(G):
+    _require_simple(G)
+    low_adj, low_non = _valence_sum_checks(G, G.n, G.n + 1)
+    return [
+        HypothesisCheck("adjacent_valence_sums_at_least_n", low_adj is None, low_adj),
+        HypothesisCheck("nonadjacent_valence_sums_at_least_n_plus_1", low_non is None, low_non),
+    ], lambda: uniform_hitting_number(G, 2)
+
+
+def _triangle_free(G):
+    _require_simple(G)
+    g = G.girth()
+    return HypothesisCheck("triangle_free", g >= 4, f"girth={fmt_count(g)}")
+
+
+def _girth4a(G):
+    n = G.n
+    triangle_free = _triangle_free(G)
+    delta = G.min_valence()
+    xi3 = min_connected_outdegree(G, 3) if n >= 3 else INF
+    return [
+        triangle_free,
+        HypothesisCheck("min_valence_at_least_3", delta >= 3, f"delta={delta}"),
+        HypothesisCheck(
+            "xi3_at_least_n_plus_1", xi3 >= n + 1, {"xi3": fmt_count(xi3), "needed": n + 1}
+        ),
+    ], lambda: uniform_hitting_number(G, 3)
+
+
+def _girth4b(G):
+    n = G.n
+    triangle_free = _triangle_free(G)
+    delta = G.min_valence()
+    return [
+        triangle_free,
+        HypothesisCheck("order_at_least_6", n >= 6, f"n={n}"),
+        HypothesisCheck(
+            "min_valence_above_third", 3 * delta >= n + 3, {"delta": delta, "needed_thirds": n + 3}
+        ),
+    ], lambda: uniform_hitting_number(G, 3)
+
+
+def _girth5(G):
+    n = G.n
+    g = G.girth()
+    delta = G.min_valence()
+    return [
+        HypothesisCheck("girth_at_least_5", g >= 5, f"girth={fmt_count(g)}"),
+        HypothesisCheck("order_at_least_8", n >= 8, f"n={n}"),
+        HypothesisCheck(
+            "min_valence_at_least_half_bound",
+            2 * delta >= n // 2 + 4,
+            {"delta": delta, "needed_halves": n // 2 + 4},
+        ),
+    ], lambda: uniform_hitting_number(G, 4)
 
 
 def verify_girth_family(G, variant, brute_cap=DEFAULT_BRUTE_CAP):
-    """Valence-based sufficient conditions at girth 3, 4, and 5."""
-    _require_usable(G)
-    n = G.n
-    report = TheoremReport(variant, [], False)
+    """Valence-based sufficient conditions at girth 3, 4, and 5.
 
-    if variant == "girth3":
-        _require_simple(G)
-        worst_adj, worst_non = _valence_sum_checks(G, n, n + 1)
-        report.hypotheses.append(
-            HypothesisCheck("adjacent_valence_sums_at_least_n", worst_adj is None, worst_adj)
-        )
-        report.hypotheses.append(
-            HypothesisCheck(
-                "nonadjacent_valence_sums_at_least_n_plus_1", worst_non is None, worst_non
-            )
-        )
-        if worst_adj is None and worst_non is None:
-            value = n - independence_number(G)
-            report.conclusion_value = value
-            report.conclusion = f"scramble number = gonality = {value}"
-    elif variant in ("girth4a", "girth4b"):
-        _require_simple(G)
-        g = G.girth()
-        triangle_free = g >= 4
-        report.hypotheses.append(
-            HypothesisCheck("triangle_free", triangle_free, f"girth={fmt_count(g)}")
-        )
-        delta = G.min_valence()
-        if variant == "girth4a":
-            report.hypotheses.append(
-                HypothesisCheck("min_valence_at_least_3", delta >= 3, f"delta={delta}")
-            )
-            xi3 = min_connected_outdegree(G, 3) if n >= 3 else INF
-            report.hypotheses.append(
-                HypothesisCheck(
-                    "xi3_at_least_n_plus_1",
-                    xi3 >= n + 1,
-                    {"xi3": fmt_count(xi3), "needed": n + 1},
-                )
-            )
-        else:
-            report.hypotheses.append(HypothesisCheck("order_at_least_6", n >= 6, f"n={n}"))
-            report.hypotheses.append(
-                HypothesisCheck(
-                    "min_valence_above_third",
-                    3 * delta >= n + 3,
-                    {"delta": delta, "needed_thirds": n + 3},
-                )
-            )
-        if all(c.holds for c in report.hypotheses):
-            value = n - component_independence_number(G, 2)
-            report.conclusion_value = value
-            report.conclusion = f"scramble number = gonality = {value}"
-    elif variant == "girth5":
-        g = G.girth()
-        report.hypotheses.append(
-            HypothesisCheck("girth_at_least_5", g >= 5, f"girth={fmt_count(g)}")
-        )
-        report.hypotheses.append(HypothesisCheck("order_at_least_8", n >= 8, f"n={n}"))
-        delta = G.min_valence()
-        report.hypotheses.append(
-            HypothesisCheck(
-                "min_valence_at_least_half_bound",
-                2 * delta >= n // 2 + 4,
-                {"delta": delta, "needed_halves": n // 2 + 4},
-            )
-        )
-        if all(c.holds for c in report.hypotheses):
-            value = n - component_independence_number(G, 3)
-            report.conclusion_value = value
-            report.conclusion = f"scramble number = gonality = {value}"
-    else:
-        raise ValueError(f"unknown girth variant {variant!r}")
-    return _finish(report, G, brute_cap)
+    girth5 never applies as encoded: girth at least 5 forces
+    n >= delta^2 + 1 (the Moore bound), and then 2*delta >= floor(n/2) + 4
+    would need (delta - 2)^2 + 4 <= 0.  The condition is kept as
+    transcribed; ROADMAP.md lists it as an open question."""
+    _require_usable(G)
+    hypotheses, conclude = _variant(variant, "verify_girth_family", "girth")(G)
+    return _report(variant, G, hypotheses, conclude, brute_cap)
 
 
 def _bipartite_lemma_checks(G, sides):
     """Independence number equals the larger side once min valence
     reaches n/4; checked outright whenever the premise holds."""
-    n = G.n
-    delta = G.min_valence()
-    if 4 * delta < n:
+    if 4 * G.min_valence() < G.n:
         return []
     alpha = independence_number(G)
     larger = max(len(sides[0]), len(sides[1]))
+    witness = {"alpha": alpha, "larger_side": larger}
+    return [HypothesisCheck("independence_number_equals_larger_side", alpha == larger, witness)]
+
+
+def _bipartite1(G, sides):
+    n = G.n
+    delta = G.min_valence()
     return [
+        HypothesisCheck("order_at_least_4", n >= 4, f"n={n}"),
         HypothesisCheck(
-            "independence_number_equals_larger_side",
-            alpha == larger,
-            {"alpha": alpha, "larger_side": larger},
-        )
-    ]
+            "min_valence_at_least_half_bound",
+            2 * delta >= n // 2 + 2,
+            {"delta": delta, "needed_halves": n // 2 + 2},
+        ),
+    ], lambda: min(len(sides[0]), len(sides[1]))
+
+
+def _bipartite2(G, sides):
+    n = G.n
+    floor = 2 * (n // 4) + 3
+    _, low_non = _valence_sum_checks(G, None, floor)
+    return [
+        HypothesisCheck("order_at_least_6", n >= 6, f"n={n}"),
+        HypothesisCheck(
+            "nonadjacent_valence_sums_at_least_bound",
+            low_non is None,
+            low_non if low_non is not None else {"needed": floor},
+        ),
+    ], lambda: uniform_hitting_number(G, 3)
 
 
 def verify_bipartite(G, variant, brute_cap=DEFAULT_BRUTE_CAP):
@@ -300,43 +310,10 @@ def verify_bipartite(G, variant, brute_cap=DEFAULT_BRUTE_CAP):
     sides = G.bipartition()
     if sides is None:
         raise ValueError("graph is not bipartite")
-    n = G.n
-    report = TheoremReport(variant, [], False)
-    report.hypotheses.append(HypothesisCheck("simple", G.is_simple()))
-
-    if variant == "bipartite1":
-        report.hypotheses.append(HypothesisCheck("order_at_least_4", n >= 4, f"n={n}"))
-        delta = G.min_valence()
-        report.hypotheses.append(
-            HypothesisCheck(
-                "min_valence_at_least_half_bound",
-                2 * delta >= n // 2 + 2,
-                {"delta": delta, "needed_halves": n // 2 + 2},
-            )
-        )
-        if all(c.holds for c in report.hypotheses):
-            value = min(len(sides[0]), len(sides[1]))
-            report.conclusion_value = value
-            report.conclusion = f"scramble number = gonality = {value}"
-    elif variant == "bipartite2":
-        report.hypotheses.append(HypothesisCheck("order_at_least_6", n >= 6, f"n={n}"))
-        floor = 2 * (n // 4) + 3
-        _, worst_non = _valence_sum_checks(G, None, floor)
-        report.hypotheses.append(
-            HypothesisCheck(
-                "nonadjacent_valence_sums_at_least_bound",
-                worst_non is None,
-                worst_non if worst_non is not None else {"needed": floor},
-            )
-        )
-        if all(c.holds for c in report.hypotheses):
-            value = n - component_independence_number(G, 2)
-            report.conclusion_value = value
-            report.conclusion = f"scramble number = gonality = {value}"
-    else:
-        raise ValueError(f"unknown bipartite variant {variant!r}")
-    report.lemma_checks = _bipartite_lemma_checks(G, sides)
-    return _finish(report, G, brute_cap)
+    hypotheses, conclude = _variant(variant, "verify_bipartite", "bipartite")(G, sides)
+    hypotheses.insert(0, HypothesisCheck("simple", G.is_simple()))
+    lemmas = _bipartite_lemma_checks(G, sides)
+    return _report(variant, G, hypotheses, conclude, brute_cap, lemma_checks=lemmas)
 
 
 def verify_order_ek(G, k):
@@ -344,14 +321,34 @@ def verify_order_ek(G, k):
     and from the invariant formula; the two must agree."""
     formula = uniform_order_via_invariants(G, k)
     direct = scramble_order(uniform_scramble(G, k))
-    report = TheoremReport("order_ek", [], True, parameter=k)
-    report.conclusion_value = (direct, formula)
-    report.conclusion = (
-        f"uniform order = {fmt_count(direct)} (scramble) / {fmt_count(formula)} (invariants)"
-    )
-    report.applicable = True
-    report.cross_check = CrossCheck(
-        "verified" if direct == formula else "mismatch",
-        None if direct == INF else int(direct) if direct == formula else None,
-    )
-    return report
+    agreed = int(direct) if direct == formula != INF else None
+    check = CrossCheck("verified" if direct == formula else "mismatch", agreed)
+    return TheoremReport("order_ek", [], (direct, formula), parameter=k, cross_check=check)
+
+
+# One row per theorem token.  ``verifier`` names the public function to
+# run, looked up on the module when called so that wrappers bound there
+# see the call; it gets K when the token takes ``:K`` (``example`` is a
+# sample K), else the token, and ``brute_cap`` when ``cross_checked``.
+# ``hypotheses`` is a girth or bipartite variant's own part.
+Theorem = namedtuple(
+    "Theorem", "verifier example hypotheses cross_checked", defaults=(None, None, True)
+)
+
+THEOREMS = {
+    "main": Theorem("verify_main", example=4),
+    "girth3": Theorem("verify_girth_family", hypotheses=_girth3),
+    "girth4a": Theorem("verify_girth_family", hypotheses=_girth4a),
+    "girth4b": Theorem("verify_girth_family", hypotheses=_girth4b),
+    "girth5": Theorem("verify_girth_family", hypotheses=_girth5),
+    "bipartite1": Theorem("verify_bipartite", hypotheses=_bipartite1),
+    "bipartite2": Theorem("verify_bipartite", hypotheses=_bipartite2),
+    "order_ek": Theorem("verify_order_ek", example=3, cross_checked=False),
+}
+
+
+def _variant(variant, verifier, family):
+    theorem = THEOREMS.get(variant)
+    if theorem is None or theorem.verifier != verifier:
+        raise ValueError(f"unknown {family} variant {variant!r}")
+    return theorem.hypotheses

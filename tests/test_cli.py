@@ -1,6 +1,10 @@
 """End-to-end command tests driven through run_cli."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -483,6 +487,43 @@ class TestVerify:
         assert run_cli(["verify", "order-ek", path]) == 1
         assert run_cli(["verify", "order-ek:x", path]) == 1
 
+    def test_json_has_no_conclusion_unless_applicable(self, graph_file, capsys):
+        path = graph_file("cycle", "8")
+        capsys.readouterr()
+        assert run_cli(["verify", "main:4", path, "--json"]) == 0
+        decoded = json.loads(capsys.readouterr().out)
+        assert decoded["applicable"] is False
+        assert decoded["conclusion"] is None
+        assert decoded["conclusion_value"] is None
+
+    @pytest.mark.parametrize(
+        "token, graph",
+        [("main:4", ("complete", "2")), ("main:10", ("complete-bipartite", "1", "3")), ("main:6", ("complete", "4"))],
+    )
+    def test_main_parameter_above_order_plus_one(self, token, graph, graph_file, capsys):
+        path = graph_file(*graph)
+        capsys.readouterr()
+        assert run_cli(["verify", token, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
+
+    @pytest.mark.parametrize("token", ["bipartite1:3", "girth3:9", "girth5:0"])
+    def test_parameterless_tokens_reject_a_parameter(self, token, graph_file, capsys):
+        path = graph_file("cycle", "8")
+        capsys.readouterr()
+        assert run_cli(["verify", token, path]) == 1
+        name = token.partition(":")[0]
+        assert capsys.readouterr().err == f"error: {name} takes no parameter\n"
+
+    def test_missing_parameter_message(self, graph_file, capsys):
+        path = graph_file("cycle", "4")
+        capsys.readouterr()
+        assert run_cli(["verify", "main", path]) == 1
+        assert capsys.readouterr().err == "error: main needs a parameter, e.g. main:4\n"
+        assert run_cli(["verify", "order_ek", path]) == 1
+        assert capsys.readouterr().err == "error: order-ek needs a parameter, e.g. order-ek:3\n"
+
     def test_unknown_theorem(self, graph_file, capsys):
         path = graph_file("cycle", "4")
         capsys.readouterr()
@@ -496,9 +537,125 @@ class TestVerify:
         assert "parallel edges" in capsys.readouterr().err
 
 
+# Full text reports of every theorem token on K_{3,3}, where most of them
+# apply, and on C_8, where none but order-ek does.
+VERIFY_TOKENS = [
+    "main:4", "girth3", "girth4a", "girth4b", "girth5", "bipartite1", "bipartite2", "order-ek:3"
+]
+PINNED_REPORTS = {
+    ("complete-bipartite", "3", "3"): """\
+main (parameter 4): applicable
+  [ok  ] girth_at_least_parameter  [girth=4]
+  [ok  ] restricted_connectivity_at_least_bound  [{'lambda': '5', 'bound': 3}]
+  upper bound: gonality <= 3
+  conclusion: scramble number = gonality = 3
+  brute-force gonality: 3 (verified)
+girth3: not applicable
+  [ok  ] adjacent_valence_sums_at_least_n
+  [fail] nonadjacent_valence_sums_at_least_n_plus_1  [[0, 1, 6]]
+  brute-force gonality: 3 (informational)
+girth4a: not applicable
+  [ok  ] triangle_free  [girth=4]
+  [ok  ] min_valence_at_least_3  [delta=3]
+  [fail] xi3_at_least_n_plus_1  [{'xi3': '5', 'needed': 7}]
+  brute-force gonality: 3 (informational)
+girth4b: applicable
+  [ok  ] triangle_free  [girth=4]
+  [ok  ] order_at_least_6  [n=6]
+  [ok  ] min_valence_above_third  [{'delta': 3, 'needed_thirds': 9}]
+  conclusion: scramble number = gonality = 3
+  brute-force gonality: 3 (verified)
+girth5: not applicable
+  [fail] girth_at_least_5  [girth=4]
+  [fail] order_at_least_8  [n=6]
+  [fail] min_valence_at_least_half_bound  [{'delta': 3, 'needed_halves': 7}]
+  brute-force gonality: 3 (informational)
+bipartite1: applicable
+  [ok  ] simple
+  [ok  ] order_at_least_4  [n=6]
+  [ok  ] min_valence_at_least_half_bound  [{'delta': 3, 'needed_halves': 5}]
+  conclusion: scramble number = gonality = 3
+  [ok  ] lemma independence_number_equals_larger_side  [{'alpha': 3, 'larger_side': 3}]
+  brute-force gonality: 3 (verified)
+bipartite2: applicable
+  [ok  ] simple
+  [ok  ] order_at_least_6  [n=6]
+  [ok  ] nonadjacent_valence_sums_at_least_bound  [{'needed': 5}]
+  conclusion: scramble number = gonality = 3
+  [ok  ] lemma independence_number_equals_larger_side  [{'alpha': 3, 'larger_side': 3}]
+  brute-force gonality: 3 (verified)
+order_ek (parameter 3): applicable
+  conclusion: uniform order = 3 (scramble) / 3 (invariants)
+  agreement: verified
+""",
+    ("cycle", "8"): """\
+main (parameter 4): not applicable
+  [ok  ] girth_at_least_parameter  [girth=8]
+  [fail] restricted_connectivity_at_least_bound  [{'lambda': '2', 'bound': 3}]
+  upper bound: gonality <= 3
+  brute-force gonality: 2 (informational)
+girth3: not applicable
+  [fail] adjacent_valence_sums_at_least_n  [[0, 1, 4]]
+  [fail] nonadjacent_valence_sums_at_least_n_plus_1  [[0, 2, 4]]
+  brute-force gonality: 2 (informational)
+girth4a: not applicable
+  [ok  ] triangle_free  [girth=8]
+  [fail] min_valence_at_least_3  [delta=2]
+  [fail] xi3_at_least_n_plus_1  [{'xi3': '2', 'needed': 9}]
+  brute-force gonality: 2 (informational)
+girth4b: not applicable
+  [ok  ] triangle_free  [girth=8]
+  [ok  ] order_at_least_6  [n=8]
+  [fail] min_valence_above_third  [{'delta': 2, 'needed_thirds': 11}]
+  brute-force gonality: 2 (informational)
+girth5: not applicable
+  [ok  ] girth_at_least_5  [girth=8]
+  [ok  ] order_at_least_8  [n=8]
+  [fail] min_valence_at_least_half_bound  [{'delta': 2, 'needed_halves': 8}]
+  brute-force gonality: 2 (informational)
+bipartite1: not applicable
+  [ok  ] simple
+  [ok  ] order_at_least_4  [n=8]
+  [fail] min_valence_at_least_half_bound  [{'delta': 2, 'needed_halves': 6}]
+  [ok  ] lemma independence_number_equals_larger_side  [{'alpha': 4, 'larger_side': 4}]
+  brute-force gonality: 2 (informational)
+bipartite2: not applicable
+  [ok  ] simple
+  [ok  ] order_at_least_6  [n=8]
+  [fail] nonadjacent_valence_sums_at_least_bound  [[0, 2, 4]]
+  [ok  ] lemma independence_number_equals_larger_side  [{'alpha': 4, 'larger_side': 4}]
+  brute-force gonality: 2 (informational)
+order_ek (parameter 3): applicable
+  conclusion: uniform order = 2 (scramble) / 2 (invariants)
+  agreement: verified
+""",
+}
+
+
+@pytest.mark.parametrize("graph", list(PINNED_REPORTS))
+def test_every_token_prints_its_pinned_report(graph, graph_file, capsys):
+    path = graph_file(*graph)
+    capsys.readouterr()
+    for token in VERIFY_TOKENS:
+        assert run_cli(["verify", token, path]) == 0
+    assert capsys.readouterr().out == PINNED_REPORTS[graph]
+
+
 class TestTopLevel:
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 1
+
+    def test_runs_as_a_module(self, graph_file):
+        path = graph_file("cycle", "4")
+        result = subprocess.run(
+            [sys.executable, "-m", "scrambles.cli", "info", path],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("vertices: 4\n")
 
     def test_help_exits_cleanly(self, capsys):
         assert run_cli(["--help"]) == 0

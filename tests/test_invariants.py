@@ -105,6 +105,10 @@ class TestConnectedOutdegree:
         H = herschel_graph()
         assert min_connected_outdegree(H, 1) == 3
 
+    def test_no_connected_k_subset_is_infinite(self):
+        # two disjoint edges have no connected 3-set
+        assert min_connected_outdegree(Multigraph(4, [(0, 1), (2, 3)]), 3) == INF
+
     def test_herschel_is_lambda3_optimal(self):
         assert is_lambda_k_optimal(herschel_graph(), 3)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from scrambles import (
     INF,
+    Multigraph,
     ScrambleFileError,
     complete_graph,
     cycle_graph,
@@ -156,6 +157,26 @@ class TestParsing:
     def test_disconnected_egg(self):
         with pytest.raises(ScrambleFileError, match="connected") as info:
             parse_scramble("0 1\n0 2\n", cycle_graph(4))
+        assert info.value.line == 2
+
+    def test_repeated_eggs_are_checked_once(self, monkeypatch):
+        S = uniform_scramble(herschel_graph(), 3)
+        rows = [" ".join(map(str, sorted(egg))) for egg in S.eggs]
+        checked = []
+        connected = Multigraph._mask_connected
+
+        def counting(self, mask):
+            checked.append(mask)
+            return connected(self, mask)
+
+        monkeypatch.setattr(Multigraph, "_mask_connected", counting)
+        T = parse_scramble("".join(row + "\n" for row in rows * 2), S.graph)
+        assert T.masks == S.masks
+        assert sorted(checked) == sorted(S.masks)
+
+    def test_repeated_disconnected_egg_reported_at_first_line(self):
+        with pytest.raises(ScrambleFileError, match="connected") as info:
+            parse_scramble("0 1\n0 2\n1 2\n0 2\n", cycle_graph(4))
         assert info.value.line == 2
 
 
@@ -370,3 +391,7 @@ class TestOrder:
     def test_formula_argument_checks(self):
         with pytest.raises(ValueError, match="out of range"):
             uniform_order_via_invariants(cycle_graph(4), 0)
+
+    def test_formula_needs_a_connected_graph(self):
+        with pytest.raises(ValueError, match="connected"):
+            uniform_order_via_invariants(Multigraph(4, [(0, 1), (2, 3)]), 2)

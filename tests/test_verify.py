@@ -17,6 +17,7 @@ from scrambles import (
     herschel_graph,
     hypercube,
     independence_number,
+    path_graph,
     render_report,
     report_to_json,
     verify_bipartite,
@@ -24,6 +25,7 @@ from scrambles import (
     verify_main,
     verify_order_ek,
 )
+from scrambles.verify import _gonality_cross_check
 from strategies import simple_connected_graphs
 
 
@@ -71,6 +73,35 @@ class TestMain:
         with pytest.raises(ValueError, match="connected"):
             verify_main(G, 3)
 
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            verify_main(Multigraph(1, []), 3)
+
+    @pytest.mark.parametrize(
+        "G, l", [(complete_graph(2), 4), (complete_bipartite(1, 3), 10), (complete_graph(4), 6)]
+    )
+    def test_parameter_ceiling_is_order_plus_one(self, G, l):
+        # main:L needs a connected (L-1)-set; the range check runs before girth
+        with pytest.raises(ValueError, match=f"subset size {l - 1} out of range"):
+            verify_main(G, l)
+
+    def test_top_of_parameter_range(self):
+        # L = n + 1 takes the whole star as the one egg: bound n - alpha_{n-1} = 1
+        report = verify_main(complete_bipartite(1, 3), 5)
+        assert report.upper_bound == 1
+        assert report.hypotheses[1].witness == {"lambda": "inf", "bound": 1}
+
+    def test_no_conclusion_when_not_applicable(self):
+        # C_8 passes girth but fails lambda_3 >= 3: nothing is concluded
+        report = verify_main(cycle_graph(8), 4)
+        assert not report.applicable
+        assert report.conclusion is None
+        data = json.loads(report_to_json(report))
+        assert data["applicable"] is False
+        assert data["conclusion"] is None
+        assert data["conclusion_value"] is None
+        assert data["upper_bound"] == {"finite": True, "value": 3}
+
     @given(simple_connected_graphs(max_n=7))
     @settings(deadline=None, max_examples=40)
     def test_level_3_bound_always_present_on_simple_graphs(self, G):
@@ -98,6 +129,12 @@ class TestGirthFamilies:
         assert not report.applicable
         failed = {c.name: c for c in report.hypotheses if not c.holds}
         assert "nonadjacent_valence_sums_at_least_n_plus_1" in failed
+
+    def test_girth3_adjacent_pair_witness(self):
+        # P_4's end edges have valence sum 1 + 2 = 3 < n
+        report = verify_girth_family(path_graph(4), "girth3")
+        assert report.hypotheses[0].holds is False
+        assert report.hypotheses[0].witness == [0, 1, 3]
 
     def test_girth3_rejects_multigraphs(self):
         G = Multigraph(2, [(0, 1), (0, 1)])
@@ -258,6 +295,13 @@ class TestReports:
         ):
             text = report_to_json(report)
             assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+    @pytest.mark.parametrize("claimed, found", [(3, 2), (1, None)])
+    def test_wrong_claim_is_a_mismatch(self, claimed, found):
+        # C_4 has gonality 2; a search capped below it finds nothing
+        check = _gonality_cross_check(cycle_graph(4), claimed, 16)
+        assert check.status == "mismatch"
+        assert check.value == found
 
     def test_json_encodes_infinite_counts(self):
         # a tree has infinite girth, so the main check reports girth=inf

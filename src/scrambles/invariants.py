@@ -2,16 +2,116 @@
 minimum outdegree over connected k-sets, and component-bounded
 independence.
 
-Every search here is exponential in the worst case.  The restricted
-edge connectivity is a branch and bound over connected vertex sets and
-reaches 32-vertex cubes in seconds.  The component independence number
-is a branch and bound over vertex inclusion that drops vertices once
-they can no longer fit and bounds each node by a packing of disjoint
-overfull groups; it also reaches 32-vertex cubes in seconds.  The
-minimum connected outdegree enumerates connected k-sets directly.
+Every search here is exponential in the worst case.  One split search,
+``_min_split``, grows one connected side of a two-way split under a
+boundary-edge bound.  It has two tests: one on side sizes, for the
+restricted edge connectivity, and one on whole eggs, for the egg-cut
+number of a scramble; both reach 32-vertex cubes in seconds.  The
+component independence number is a branch and bound over vertex
+inclusion that drops vertices once they can no longer fit and bounds
+each node by a packing of disjoint overfull groups; it also reaches
+32-vertex cubes in seconds.  The minimum connected outdegree
+enumerates connected k-sets directly.
 """
 
 from .graphs import INF, _bits, enumerate_connected_subsets
+
+
+def _min_split(G, within, best, k=0, out=None, every=0):
+    """Fewest edges between the two sides of a split of ``within``, a
+    connected component of G, into connected sides that both pass one
+    of two tests; ``best`` when no split beats it.
+
+    With ``k``, both sides must hold at least k vertices (lambda_k).
+    With ``out``, where ``every`` is the bitmask of all egg indices and
+    ``out[v]`` that of the eggs avoiding vertex v, both sides must hold
+    a whole egg.
+
+    The search grows the side S holding the lowest vertex of ``within``,
+    which stays connected by construction.  Each node keeps S, an
+    excluded set X and the edge count e(S, X); it branches on the
+    boundary vertex (adjacent to S, not in X) with the most edges into
+    S, first adding it to S, then to X.  Both moves only add edges to
+    e(S, X).  Each boundary vertex w adds at least min(e(w, S), e(w, X))
+    more edges to the final cut, whichever side it ends on, and these
+    edges are distinct for distinct w; a node is pruned once e(S, X)
+    plus that sum reaches the best split found.  A node with no
+    boundary is a leaf whose count is the outdegree of S.
+
+    The size test prunes S once it outgrows n - k vertices, or once it
+    is still below k vertices and its component outside X is too; a
+    leaf counts when S has at least k vertices and the rest is
+    connected.  The egg test keeps the eggs avoiding S and the eggs
+    avoiding X as two bitsets over egg indices, and prunes once either
+    is empty: no egg is left for the other side, or none for S.  A leaf
+    counts when an egg avoiding X meets S: with no boundary left, that
+    connected egg lies inside S, and an egg avoiding S lies outside.
+    Any such split is an egg cut, so the rest need not be connected.
+    """
+    n = within.bit_count()
+    if 2 * k > n:
+        return best
+    root = (within & -within).bit_length() - 1
+    nbr = G._mask
+    adj = [tuple(d.items()) for d in G._adj]
+    into_s = [0] * G.n  # edges from each vertex into S
+    into_x = [0] * G.n  # edges from each vertex into X
+
+    def grow(s, size, reach, x, cut, free_s, free_x):
+        # reach is S together with its neighbourhood; free_s and free_x
+        # are the eggs avoiding S and X
+        nonlocal best
+        boundary = reach & ~(s | x)
+        if not boundary:
+            if out:
+                counts = free_x & ~free_s
+            else:
+                counts = size >= k and G._mask_connected(within ^ s)
+            if counts:
+                best = cut
+            return
+        v, most, bound = -1, -1, cut
+        while boundary:  # _bits inlined: this loop is the search's hot spot
+            low = boundary & -boundary
+            boundary ^= low
+            w = low.bit_length() - 1
+            a, b = into_s[w], into_x[w]
+            bound += a if a < b else b
+            if a > most:
+                v, most = w, a
+        if bound >= best:
+            return
+        bit = 1 << v
+        if cut + into_x[v] < best:
+            # the eggs avoiding S after the move; a bool under the size test
+            fits = free_s & out[v] if out else size < n - k
+            if fits:
+                for w, m in adj[v]:
+                    into_s[w] += m
+                grow(s | bit, size + 1, reach | nbr[v], x, cut + into_x[v], fits, free_x)
+                for w, m in adj[v]:
+                    into_s[w] -= m
+        if cut + most < best:
+            x |= bit
+            if out:
+                free_x &= out[v]
+                if not free_x:
+                    return
+            elif size < k and G._component_of(root, within ^ x).bit_count() < k:
+                return
+            for w, m in adj[v]:
+                into_x[w] += m
+            grow(s, size, reach, x, cut + most, free_s, free_x)
+            for w, m in adj[v]:
+                into_x[w] -= m
+
+    free_s, free_x = every & out[root] if out else 0, every
+    if out and not free_s:
+        return best
+    for w, m in adj[root]:
+        into_s[w] += m
+    grow(1 << root, 1, (1 << root) | nbr[root], 0, 0, free_s, free_x)
+    return best
 
 
 def restricted_edge_connectivity(G, k):
@@ -20,72 +120,14 @@ def restricted_edge_connectivity(G, k):
     exists.
 
     Equivalently (by minimality) the smallest outdegree over splits of
-    the vertices into two connected parts of size >= k each.  The
-    search grows the part S holding vertex 0, which stays connected by
-    construction.  Each node keeps S, an excluded set X and the edge
-    count e(S, X); it branches on the boundary vertex (adjacent to S,
-    not in X) with the most edges into S, first adding it to S, then
-    to X.  Both moves only add edges to e(S, X).  Each boundary vertex
-    w adds at least min(e(w, S), e(w, X)) more edges to the final cut,
-    whichever side it ends on, and these edges are distinct for
-    distinct w; a node is pruned once e(S, X) plus that sum reaches the
-    best split found.  It is also pruned when S outgrows n - k
-    vertices, or when S is still below k vertices and its component
-    outside X is too.  A node with no boundary is a leaf whose count is
-    the outdegree of S; it is a split when S has at least k vertices
-    and the rest of the graph is connected.
+    the vertices into two connected parts of size >= k each, found by
+    the split search ``_min_split`` with its size test.
     """
     if k < 1:
         raise ValueError("component size bound must be at least 1")
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    n = G.n
-    if 2 * k > n:
-        return INF
-    full = (1 << n) - 1
-    nbr = G._mask
-    adj = [tuple(d.items()) for d in G._adj]
-    into_s = [0] * n  # edges from each vertex into S
-    into_x = [0] * n  # edges from each vertex into X
-    best = INF
-
-    def grow(s, size, reach, x, cut):
-        # reach is S together with its neighbourhood
-        nonlocal best
-        boundary = reach & ~(s | x)
-        if not boundary:
-            if size >= k and G._mask_connected(full ^ s):
-                best = cut
-            return
-        v, most, bound = -1, -1, cut
-        for w in _bits(boundary):
-            a, b = into_s[w], into_x[w]
-            bound += a if a < b else b
-            if a > most:
-                v, most = w, a
-        if bound >= best:
-            return
-        bit = 1 << v
-        if size < n - k and cut + into_x[v] < best:
-            for w, m in adj[v]:
-                into_s[w] += m
-            grow(s | bit, size + 1, reach | nbr[v], x, cut + into_x[v])
-            for w, m in adj[v]:
-                into_s[w] -= m
-        if cut + most < best:
-            x |= bit
-            if size < k and G._component_of(0, full ^ x).bit_count() < k:
-                return
-            for w, m in adj[v]:
-                into_x[w] += m
-            grow(s, size, reach, x, cut + most)
-            for w, m in adj[v]:
-                into_x[w] -= m
-
-    for w, m in adj[0]:
-        into_s[w] += m
-    grow(1, 1, 1 | nbr[0], 0, 0)
-    return best
+    return _min_split(G, (1 << G.n) - 1, INF, k=k)
 
 
 def min_connected_outdegree(G, k):

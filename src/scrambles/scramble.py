@@ -5,14 +5,16 @@ An egg is stored only as its vertex bitmask, from enumeration or parsing
 through every search; vertex sets appear only in results (witnesses and
 the derived ``Scramble.eggs``).
 
-The egg-level engines serve explicit scrambles.  The hitting search
-works on a transposed incidence (for each vertex, the bitmask of the
-eggs containing it) and deepens on the answer, so a run cut short by a
-time budget still ends with a proven lower bound.  The egg cut runs a
-max flow per disjoint egg pair.  The uniform k-scramble (every connected
-k-set) takes its numbers from graph invariants instead: its hitting
-number is n - alpha_{k-1}, and on a connected graph its egg-cut number
-is lambda_k, so no egg is built there.
+The egg-level engines serve explicit scrambles.  Both work on a
+transposed incidence (for each vertex, the bitmask of the eggs
+containing it).  The hitting search deepens on the answer, so a run cut
+short by a time budget still ends with a proven lower bound.  The egg
+cut is the split search behind lambda_k (``invariants._min_split``)
+with an egg test in place of its size test.  The uniform k-scramble
+(every connected k-set) takes its numbers from graph invariants
+instead, on any graph: its hitting number is n - alpha_{k-1}, and its
+egg-cut number is lambda_k of the one component holding k vertices (0
+when two do), so no egg is built there.
 """
 
 import sys
@@ -20,7 +22,6 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .flow import _max_flow
 from .graphs import (
     INF,
     InputFormatError,
@@ -29,7 +30,7 @@ from .graphs import (
     _lex_sorted,
     enumerate_connected_subsets,
 )
-from .invariants import component_independence_number, restricted_edge_connectivity
+from . import invariants
 
 
 class ScrambleFileError(InputFormatError):
@@ -156,6 +157,21 @@ def _incidence(masks, n):
     return inc
 
 
+def _egg_sets(S):
+    """Bitmasks over S's egg indices: for each vertex the eggs holding it
+    (``_incidence``), all eggs, and for each vertex the eggs avoiding it."""
+    if not S.masks:
+        raise ValueError("empty scramble")
+    inc = _incidence(S.masks, S.graph.n)
+    every = (1 << len(S.masks)) - 1
+    held = 0
+    for row in inc:
+        held |= row
+    if held != every:  # a Scramble built directly skips make_scramble's checks
+        raise ValueError("eggs must be nonempty")
+    return inc, every, [every ^ row for row in inc]
+
+
 def _sliced_sum(rows):
     """Bit slices of per-egg counts: bit i of ``slices[b]`` is bit b of
     the number of rows holding egg i."""
@@ -214,23 +230,17 @@ def hitting_search(S, target=None, budget=None, progress=None):
     """
     if budget is not None and not budget >= 0:  # also refuses NaN
         raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
-    if not S.masks:
-        raise ValueError("empty scramble")
+    inc, every, outside = _egg_sets(S)
     start = time.monotonic()
     deadline = None if budget is None else start + budget
     masks = S.masks
     n = S.graph.n
-    inc = _incidence(masks, n)
-    every = (1 << len(masks)) - 1
-    outside = [every ^ row for row in inc]
 
     def greedy_cover():
         chosen = []
         uncovered = every
         while uncovered:
             pick = max(range(n), key=lambda v: (uncovered & inc[v]).bit_count())
-            if not uncovered & inc[pick]:
-                raise ValueError("eggs must be nonempty")
             chosen.append(pick)
             uncovered &= outside[pick]
         return chosen
@@ -332,15 +342,23 @@ def minimum_hitting_set(S):
 # -- egg cuts and orders -------------------------------------------------
 
 
-def _disjoint_pairs(S):
-    """Yield the index pairs i < j of disjoint eggs in ascending order."""
-    masks = S.masks
-    if not masks:
-        raise ValueError("empty scramble")
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if not a & masks[j]:
-                yield i, j
+def _disjoint_from(mask, inc, every):
+    """The indices of the eggs disjoint from the vertex set ``mask``."""
+    meets = 0
+    for v in _bits(mask):
+        meets |= inc[v]
+    return every & ~meets
+
+
+def _first_disjoint_pair(masks, inc, every):
+    """The first egg with a disjoint egg and the lowest such egg, as
+    masks; None when the eggs pairwise overlap.  No lower egg is
+    disjoint from the first, or it would have come first itself."""
+    for mask in masks:
+        others = _disjoint_from(mask, inc, every)
+        if others:
+            return mask, masks[(others & -others).bit_length() - 1]
+    return None
 
 
 def has_finite_egg_cut(S):
@@ -349,33 +367,49 @@ def has_finite_egg_cut(S):
     Only a split with whole eggs on both sides counts as an egg cut, so
     pairwise-overlapping scrambles have no finite one.
     """
-    for i, j in _disjoint_pairs(S):
-        return True, (frozenset(_bits(S.masks[i])), frozenset(_bits(S.masks[j])))
-    return False, None
+    inc, every, _ = _egg_sets(S)
+    pair = _first_disjoint_pair(S.masks, inc, every)
+    if pair is None:
+        return False, None
+    return True, tuple(frozenset(_bits(mask)) for mask in pair)
 
 
 def egg_cut_number(S):
     """Minimum edges crossing any split that leaves whole eggs on both
     sides; INF when no two eggs are disjoint.
 
-    Runs the two-set max flow on the stored egg masks over all disjoint
-    egg pairs, pruning each flow at the best cut seen so far.  The eggs
-    were checked when the scramble was built, so no pair is re-checked.
+    The cut is 0 when eggs lie in two components.  Otherwise every egg
+    lies in one component, and a minimum egg cut there may be taken with
+    both sides connected: shrink the side of one egg to that egg's
+    component in it, then move each part of the other side that misses
+    the other egg across; neither step adds a crossing edge.  The split
+    search ``invariants._min_split`` grows such a side with its egg
+    test, starting from the smallest outdegree of an egg that has a
+    disjoint egg, itself an egg cut.
     """
     G = S.graph
-    masks = S.masks
-    best = INF
-    for i, j in _disjoint_pairs(S):
-        best = min(best, _max_flow(G, masks[i], masks[j], None if best == INF else best))
-    return best
+    inc, every, out = _egg_sets(S)
+    full = (1 << G.n) - 1
+    home = G._component_of((S.masks[0] & -S.masks[0]).bit_length() - 1, full)
+    if any(inc[v] for v in _bits(full ^ home)):
+        return 0
+    if _first_disjoint_pair(S.masks, inc, every) is None:
+        return INF
+    ranked = sorted((G._outdegree_mask(mask), mask) for mask in S.masks)
+    best = next(cut for cut, mask in ranked if _disjoint_from(mask, inc, every))
+    return invariants._min_split(G, home, best, out=out, every=every)
+
+
+def _order_with_cut(S, e):
+    """min(hitting number, e), the hitting search stopping once e is a
+    proven bound."""
+    optimum = hitting_search(S, target=None if e == INF else e).optimum
+    return e if optimum is None else min(optimum, e)
 
 
 def scramble_order(S):
-    """min(hitting number, egg-cut number), both computed from the eggs;
-    the hitting search stops once the egg-cut number is a proven bound."""
-    e = egg_cut_number(S)
-    optimum = hitting_search(S, target=None if e == INF else e).optimum
-    return e if optimum is None else min(optimum, e)
+    """min(hitting number, egg-cut number), both computed from the eggs."""
+    return _order_with_cut(S, egg_cut_number(S))
 
 
 # -- uniform scrambles from graph invariants ------------------------------
@@ -385,20 +419,23 @@ def uniform_hitting_number(G, k):
     """Hitting number of the uniform k-scramble, n - alpha_{k-1}: a set
     meets every connected k-set iff the rest has no component above k - 1."""
     G._check_subset_size(k)
-    hitting = G.n - component_independence_number(G, k - 1)
+    hitting = G.n - invariants.component_independence_number(G, k - 1)
     if not hitting:  # every component is smaller than k: no eggs
         raise ValueError("empty scramble")
     return hitting
 
 
 def uniform_egg_cut_number(G, k):
-    """Egg-cut number of the uniform k-scramble: lambda_k on a connected
-    graph, where no egg is built; elsewhere, where that identity is not
-    proven, the egg-level scan."""
+    """Egg-cut number of the uniform k-scramble, with no egg built: 0
+    when two components hold k vertices, else lambda_k of the one that
+    does (the egg-cut number of a connected graph's uniform k-scramble)."""
     G._check_subset_size(k)
-    if G.is_connected():
-        return restricted_edge_connectivity(G, k)
-    return egg_cut_number(uniform_scramble(G, k))
+    holding = [comp for comp in G.connected_components() if len(comp) >= k]
+    if not holding:
+        raise ValueError("empty scramble")
+    if len(holding) > 1:
+        return 0
+    return invariants._min_split(G, G._vertex_mask(holding[0]), INF, k=k)
 
 
 def uniform_order_via_invariants(G, k):

@@ -143,6 +143,51 @@ def egg_cut_bipartition(n, edges, eggs):
     return best
 
 
+def max_flow_between(n, edges, sources, sinks):
+    """Most edge-disjoint paths from one vertex set to another, each
+    edge copy carrying one unit in either direction: one unit per
+    breadth-first augmenting path through the residual capacities."""
+    residual = {}
+    for u, v in edges:
+        residual[u, v] = residual.get((u, v), 0) + 1
+        residual[v, u] = residual.get((v, u), 0) + 1
+    nbr = adjacency(n, edges)
+    flow = 0
+    while True:
+        parent = {s: None for s in sources}
+        queue = list(sources)
+        end = None
+        while queue and end is None:
+            a = queue.pop(0)
+            for b in sorted(nbr[a]):
+                if b not in parent and residual[a, b] > 0:
+                    parent[b] = a
+                    if b in sinks:
+                        end = b
+                        break
+                    queue.append(b)
+        if end is None:
+            return flow
+        while parent[end] is not None:
+            a = parent[end]
+            residual[a, end] -= 1
+            residual[end, a] += 1
+            end = a
+        flow += 1
+
+
+def egg_cut_pair_scan(n, edges, eggs):
+    """Egg-cut number as the least max flow between two disjoint eggs;
+    INF when every two eggs meet."""
+    eggs = [frozenset(e) for e in eggs]
+    best = INF
+    for i, a in enumerate(eggs):
+        for b in eggs[i + 1 :]:
+            if not a & b:
+                best = min(best, max_flow_between(n, edges, a, b))
+    return best
+
+
 def alpha_component_exhaustive(n, edges, ell):
     """Largest vertex set inducing components of order <= ell."""
     best = 0

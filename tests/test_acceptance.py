@@ -4,9 +4,10 @@ Each test here pins one advertised result to its exact value and holds
 the computation to a wall-clock budget.  Every criterion prints a single
 summary line on the real stdout so the verdicts are visible in any run.
 Criterion 05 runs the full hitting search on the 25,312 eggs of the
-32-vertex cube, twice, and criterion 13 its component independence
-numbers at c = 5 and 6; both are excluded from the default run and
-opted into with ``-m longrun``.
+32-vertex cube, twice, criterion 13 its component independence
+numbers at c = 5 and 6, and criterion 14 the order of those eggs read
+from a file; all three are excluded from the default run and opted
+into with ``-m longrun``.
 """
 
 import functools
@@ -166,6 +167,13 @@ def test_criterion_13_excluded_by_default():
     )
 
 
+def test_criterion_14_excluded_by_default():
+    _announce(
+        "criterion 14 five-cube order from an explicit egg file: SKIPPED"
+        " (opt in with -m longrun)"
+    )
+
+
 @criterion(6, "crown graph bipartite condition", 30.0)
 def test_criterion_06():
     G = crown(4)
@@ -191,11 +199,17 @@ def test_criterion_08():
         G = random_connected_multigraph(
             rng, n, extra_edges=rng.randint(0, n), allow_parallel=trial % 2 == 0
         )
+        edges = list(G.edge_list())
         for k in range(1, n + 1):
-            direct = scramble_order(uniform_scramble(G, k))
+            S = uniform_scramble(G, k)
+            direct = scramble_order(S)
             lam = restricted_edge_connectivity(G, k)
             alpha = component_independence_number(G, k - 1)
-            assert direct == min(lam, n - alpha), (sorted(G.edge_list()), k)
+            assert direct == min(lam, n - alpha), (sorted(edges), k)
+            # the egg cut inside scramble_order and lambda_k share one
+            # split search; the pair-scan oracle shares nothing with it
+            e = oracles.egg_cut_pair_scan(n, edges, S.eggs)
+            assert egg_cut_number(S) == lam == e, (sorted(edges), k)
 
 
 @criterion(9, "minimum cuts match exhaustive bipartitions", 60.0)
@@ -278,3 +292,22 @@ def test_criterion_13():
     Q5 = hypercube(5)
     assert component_independence_number(Q5, 5) == 32 - 16
     assert component_independence_number(Q5, 6) == 18
+
+
+@pytest.mark.longrun
+@criterion(14, "five-cube order from an explicit egg file", 120.0)
+def test_criterion_14_five_cube_explicit_order(tmp_path, capsys):
+    """``scramble order`` on the 25,312 connected 6-sets of the 32-vertex
+    cube, read from a file: the egg cut takes the split search, and the
+    hitting search stops once it proves the cut, 16, as a lower bound."""
+    graph = tmp_path / "q5.edges"
+    assert run_cli(["gen", "hypercube", "5", "-o", str(graph)]) == 0
+    eggs = uniform_scramble(hypercube(5), 6).eggs
+    assert len(eggs) == 25312
+    rows = [" ".join(map(str, sorted(egg))) for egg in eggs]
+    random.Random(141414).shuffle(rows)
+    path = tmp_path / "q5-6eggs.txt"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["scramble", "order", str(graph), str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "16"

@@ -8,9 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from scrambles import egg_cut_number, generate, scramble_order, uniform_scramble
+import oracles
+from scrambles import (
+    Multigraph,
+    complete_graph,
+    cycle_graph,
+    egg_cut_number,
+    generate,
+    hypercube,
+    scramble_order,
+    uniform_scramble,
+)
 from scrambles.cli import run_cli
-from scrambles.graphs import fmt_count
+from scrambles.graphs import fmt_count, format_edge_list
+from strategies import plain_edges
 
 
 @pytest.fixture
@@ -205,6 +216,8 @@ class TestScrambleUniform:
         capsys.readouterr()
         assert run_cli(["scramble", "uniform", str(k), path, "--eggcut"]) == 0
         assert capsys.readouterr().out.strip() == fmt_count(egg_cut_number(S))
+        # the command's lambda_k and egg_cut_number share one split search
+        assert egg_cut_number(S) == oracles.egg_cut_pair_scan(*plain_edges(S.graph), S.eggs)
         assert run_cli(["scramble", "uniform", str(k), path, "--order"]) == 0
         assert capsys.readouterr().out.strip() == fmt_count(scramble_order(S))
 
@@ -227,6 +240,29 @@ class TestScrambleUniform:
         ]
         assert run_cli(["scramble", "uniform", "3", path, "--order"]) == 0
         assert capsys.readouterr().out.strip() == "11"
+
+    @pytest.mark.parametrize(
+        "second, k, cut",
+        [(complete_graph(2), 3, "8"), (cycle_graph(3), 3, "0"), (complete_graph(2), 9, "inf")],
+        ids=["one-part-holds-eggs", "both-parts-hold-eggs", "eggs-in-one-part-meet"],
+    )
+    def test_egg_cut_on_a_disjoint_union_builds_no_eggs(
+        self, write, capsys, monkeypatch, second, k, cut
+    ):
+        # the four-cube beside a second part: lambda_k of the four-cube when
+        # only it holds a connected k-set, else 0
+        first = hypercube(4)
+        shifted = [(u + first.n, v + first.n) for u, v in second.edge_list()]
+        G = Multigraph(first.n + second.n, first.edge_list() + shifted)
+        path = write("union.edges", format_edge_list(G))
+        capsys.readouterr()
+
+        def no_eggs(G, k):
+            raise AssertionError("uniform scramble built")
+
+        monkeypatch.setattr("scrambles.scramble.uniform_scramble", no_eggs)
+        assert run_cli(["scramble", "uniform", str(k), path, "--eggcut"]) == 0
+        assert capsys.readouterr().out.strip() == cut
 
     def test_no_connected_k_set_is_an_empty_scramble(self, write, capsys):
         path = write("triangles.edges", "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")

@@ -25,6 +25,7 @@ from scrambles import (
     minimum_hitting_set,
     parse_scramble,
     path_graph,
+    restricted_edge_connectivity,
     scramble_order,
     uniform_egg_cut_number,
     uniform_hitting_number,
@@ -267,8 +268,9 @@ class TestHitting:
 
     def test_hand_built_empty_egg_rejected(self):
         S = Scramble(path_graph(3), (0, 0b010))
-        with pytest.raises(ValueError, match="nonempty"):
-            hitting_search(S)
+        for engine in (hitting_search, egg_cut_number, has_finite_egg_cut):
+            with pytest.raises(ValueError, match="nonempty"):
+                engine(S)
 
     @given(scrambles_on())
     @settings(deadline=None, max_examples=60)
@@ -353,6 +355,48 @@ class TestEggCut:
         n, edges = plain_edges(S.graph)
         assert egg_cut_number(S) == oracles.egg_cut_bipartition(n, edges, S.eggs)
 
+    @given(disjoint_unions(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_bipartition_oracle_on_disjoint_unions(self, G, data):
+        pool = []
+        for k in range(1, G.n + 1):
+            pool.extend(map(vertex_set, enumerate_connected_subsets(G, k)))
+        S = make_scramble(G, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+        n, edges = plain_edges(G)
+        assert egg_cut_number(S) == oracles.egg_cut_bipartition(n, edges, S.eggs)
+
+    @given(scrambles_on(max_n=9, max_eggs=12))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_pair_scan_oracle(self, S):
+        n, edges = plain_edges(S.graph)
+        assert egg_cut_number(S) == oracles.egg_cut_pair_scan(n, edges, S.eggs)
+
+    @given(st.one_of(scrambles_on(max_eggs=12), wide_scrambles()))
+    @settings(deadline=None, max_examples=60)
+    def test_witness_is_the_first_disjoint_pair(self, S):
+        eggs = [set(egg) for egg in S.eggs]
+        first = next(
+            ((a, b) for i, a in enumerate(eggs) for b in eggs[i + 1 :] if not a & b), None
+        )
+        assert has_finite_egg_cut(S) == (first is not None, first)
+
+    def test_pairwise_overlapping_nine_sets(self):
+        # any two 9-sets of 16 vertices meet, so no egg cut exists
+        S = uniform_scramble(hypercube(4), 9)
+        assert len(S) == 8720
+        assert has_finite_egg_cut(S) == (False, None)
+        assert egg_cut_number(S) == INF
+
+    @pytest.mark.parametrize(
+        "G, k, cut",
+        [(folded_cube(4), 5, 15), (hypercube(4), 6, 8), (folded_cube(5), 4, 16)],
+        ids=["folded4-5", "q4-6", "folded5-4"],
+    )
+    def test_uniform_egg_cuts_are_pinned(self, G, k, cut):
+        # thousands of eggs each, past what a scan of the disjoint pairs affords
+        assert egg_cut_number(uniform_scramble(G, k)) == cut
+        assert restricted_edge_connectivity(G, k) == cut
+
 
 class TestOrder:
     def test_known_orders(self):
@@ -383,6 +427,8 @@ class TestOrder:
             return
         assert uniform_hitting_number(G, k) == hitting_number(S)
         assert uniform_egg_cut_number(G, k) == egg_cut_number(S)
+        # both sides above run the split search; the oracle does not
+        assert egg_cut_number(S) == oracles.egg_cut_pair_scan(*plain_edges(G), S.eggs)
         if G.is_connected():
             direct = scramble_order(S)
             formula = uniform_order_via_invariants(G, k)

@@ -12,17 +12,20 @@ from scrambles import (
     complete_graph,
     crown,
     cycle_graph,
+    egg_cut_number,
     folded_cube,
     gonality_bruteforce,
     herschel_graph,
     hypercube,
     independence_number,
+    invariants,
     path_graph,
     render_report,
     report_to_json,
     verify_bipartite,
     verify_girth_family,
     verify_main,
+    uniform_scramble,
     verify_order_ek,
 )
 from scrambles.verify import _gonality_cross_check
@@ -274,6 +277,17 @@ class TestOrderEk:
     def test_k_range_checked(self):
         with pytest.raises(ValueError, match="out of range"):
             verify_order_ek(cycle_graph(5), 6)
+
+    def test_direct_side_does_not_run_the_split_engine(self, monkeypatch):
+        # a wrong split search reaches lambda_k and the egg-level cut
+        # alike, so only a direct side of its own can catch it
+        G = herschel_graph()
+        monkeypatch.setattr(invariants, "_min_split", lambda *args, **kwargs: 1)
+        assert egg_cut_number(uniform_scramble(G, 3)) == 1
+        report = verify_order_ek(G, 3)
+        assert report.conclusion_value == (5, 1)
+        assert report.cross_check.status == "mismatch"
+        assert report.cross_check.value is None
 
 
 class TestReports:

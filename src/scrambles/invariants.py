@@ -17,10 +17,10 @@ enumerates connected k-sets directly.
 from .graphs import INF, _bits, enumerate_connected_subsets
 
 
-def _min_split(G, within, best, k=0, out=None, every=0):
+def _min_split(G, within, k=0, out=None, every=0):
     """Fewest edges between the two sides of a split of ``within``, a
     connected component of G, into connected sides that both pass one
-    of two tests; ``best`` when no split beats it.
+    of two tests; INF when no split passes.
 
     With ``k``, both sides must hold at least k vertices (lambda_k).
     With ``out``, where ``every`` is the bitmask of all egg indices and
@@ -50,12 +50,13 @@ def _min_split(G, within, best, k=0, out=None, every=0):
     """
     n = within.bit_count()
     if 2 * k > n:
-        return best
+        return INF
     root = (within & -within).bit_length() - 1
     nbr = G._mask
     adj = [tuple(d.items()) for d in G._adj]
     into_s = [0] * G.n  # edges from each vertex into S
     into_x = [0] * G.n  # edges from each vertex into X
+    best = INF
 
     def grow(s, size, reach, x, cut, free_s, free_x):
         # reach is S together with its neighbourhood; free_s and free_x
@@ -107,7 +108,7 @@ def _min_split(G, within, best, k=0, out=None, every=0):
 
     free_s, free_x = every & out[root] if out else 0, every
     if out and not free_s:
-        return best
+        return INF
     for w, m in adj[root]:
         into_s[w] += m
     grow(1 << root, 1, (1 << root) | nbr[root], 0, 0, free_s, free_x)
@@ -127,7 +128,7 @@ def restricted_edge_connectivity(G, k):
         raise ValueError("component size bound must be at least 1")
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    return _min_split(G, (1 << G.n) - 1, INF, k=k)
+    return _min_split(G, (1 << G.n) - 1, k=k)
 
 
 def min_connected_outdegree(G, k):

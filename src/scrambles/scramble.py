@@ -162,13 +162,14 @@ def _egg_sets(S):
     (``_incidence``), all eggs, and for each vertex the eggs avoiding it."""
     if not S.masks:
         raise ValueError("empty scramble")
-    inc = _incidence(S.masks, S.graph.n)
-    every = (1 << len(S.masks)) - 1
-    held = 0
-    for row in inc:
-        held |= row
-    if held != every:  # a Scramble built directly skips make_scramble's checks
+    n = S.graph.n
+    # a Scramble built directly skips make_scramble's checks
+    if min(S.masks) < 1:
         raise ValueError("eggs must be nonempty")
+    if max(S.masks) >> n:
+        raise ValueError(f"egg vertex out of range for a graph on {n} vertices")
+    inc = _incidence(S.masks, n)
+    every = (1 << len(S.masks)) - 1
     return inc, every, [every ^ row for row in inc]
 
 
@@ -342,20 +343,15 @@ def minimum_hitting_set(S):
 # -- egg cuts and orders -------------------------------------------------
 
 
-def _disjoint_from(mask, inc, every):
-    """The indices of the eggs disjoint from the vertex set ``mask``."""
-    meets = 0
-    for v in _bits(mask):
-        meets |= inc[v]
-    return every & ~meets
-
-
 def _first_disjoint_pair(masks, inc, every):
     """The first egg with a disjoint egg and the lowest such egg, as
     masks; None when the eggs pairwise overlap.  No lower egg is
     disjoint from the first, or it would have come first itself."""
     for mask in masks:
-        others = _disjoint_from(mask, inc, every)
+        meets = 0
+        for v in _bits(mask):
+            meets |= inc[v]
+        others = every & ~meets
         if others:
             return mask, masks[(others & -others).bit_length() - 1]
     return None
@@ -384,8 +380,9 @@ def egg_cut_number(S):
     component in it, then move each part of the other side that misses
     the other egg across; neither step adds a crossing edge.  The split
     search ``invariants._min_split`` grows such a side with its egg
-    test, starting from the smallest outdegree of an egg that has a
-    disjoint egg, itself an egg cut.
+    test.  When the eggs pairwise overlap no split passes, and the
+    search could show that only by exhausting its tree, so a scan for
+    two disjoint eggs settles that case first.
     """
     G = S.graph
     inc, every, out = _egg_sets(S)
@@ -395,9 +392,7 @@ def egg_cut_number(S):
         return 0
     if _first_disjoint_pair(S.masks, inc, every) is None:
         return INF
-    ranked = sorted((G._outdegree_mask(mask), mask) for mask in S.masks)
-    best = next(cut for cut, mask in ranked if _disjoint_from(mask, inc, every))
-    return invariants._min_split(G, home, best, out=out, every=every)
+    return invariants._min_split(G, home, out=out, every=every)
 
 
 def _order_with_cut(S, e):
@@ -435,7 +430,7 @@ def uniform_egg_cut_number(G, k):
         raise ValueError("empty scramble")
     if len(holding) > 1:
         return 0
-    return invariants._min_split(G, G._vertex_mask(holding[0]), INF, k=k)
+    return invariants._min_split(G, G._vertex_mask(holding[0]), k=k)
 
 
 def uniform_order_via_invariants(G, k):

@@ -213,6 +213,19 @@ class TestComponentIndependence:
             assert len(comp) <= ell
 
 
+class TestMonotonicity:
+    @given(connected_multigraphs(max_n=10, max_extra=12))
+    @settings(deadline=None, max_examples=40)
+    def test_lambda_k_and_alpha_c_never_decrease(self, G):
+        # a larger k admits fewer splits, and a larger c more sets, so the
+        # best uniform order max_k min(lambda_k, n - alpha_{k-1}) sits
+        # where the two sequences cross
+        lam = [restricted_edge_connectivity(G, k) for k in range(1, G.n + 1)]
+        alpha = [component_independence_number(G, c) for c in range(G.n + 1)]
+        assert lam == sorted(lam), lam
+        assert alpha == sorted(alpha), alpha
+
+
 class TestComputeInvariant:
     def test_dispatch(self):
         H = herschel_graph()

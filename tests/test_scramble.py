@@ -21,6 +21,7 @@ from scrambles import (
     hitting_number,
     hitting_search,
     hypercube,
+    invariants,
     make_scramble,
     minimum_hitting_set,
     parse_scramble,
@@ -267,10 +268,12 @@ class TestHitting:
             hitting_search(make_scramble(G, []))
 
     def test_hand_built_empty_egg_rejected(self):
-        S = Scramble(path_graph(3), (0, 0b010))
-        for engine in (hitting_search, egg_cut_number, has_finite_egg_cut):
-            with pytest.raises(ValueError, match="nonempty"):
-                engine(S)
+        # a Scramble built directly skips make_scramble's checks
+        for masks, message in [((0, 0b010), "nonempty"), ((0b1001, 0b0110), "out of range")]:
+            S = Scramble(path_graph(3), masks)
+            for engine in (hitting_search, egg_cut_number, has_finite_egg_cut, scramble_order):
+                with pytest.raises(ValueError, match=message):
+                    engine(S)
 
     @given(scrambles_on())
     @settings(deadline=None, max_examples=60)
@@ -379,6 +382,21 @@ class TestEggCut:
             ((a, b) for i, a in enumerate(eggs) for b in eggs[i + 1 :] if not a & b), None
         )
         assert has_finite_egg_cut(S) == (first is not None, first)
+
+    def test_pairwise_overlap_is_settled_before_the_split_search(self, monkeypatch):
+        # the split search, started with no bound, would exhaust its tree
+        # here: on the Q5 eggs it runs past two minutes
+        def no_search(*args, **kwargs):
+            raise AssertionError("the split search ran")
+
+        monkeypatch.setattr(invariants, "_min_split", no_search)
+        Q5 = hypercube(5)
+        through_31 = [
+            vertex_set(mask) for mask in enumerate_connected_subsets(Q5, 4) if mask >> 31
+        ]
+        assert len(through_31) == 170
+        for S in (make_scramble(Q5, through_31), uniform_scramble(hypercube(4), 9)):
+            assert egg_cut_number(S) == INF
 
     def test_pairwise_overlapping_nine_sets(self):
         # any two 9-sets of 16 vertices meet, so no egg cut exists

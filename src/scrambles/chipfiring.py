@@ -8,7 +8,7 @@ A divisor is a plain tuple of n ints, one chip count per vertex.
 
 from dataclasses import dataclass
 
-from .graphs import INF, InputFormatError, _bits, _content_rows
+from .graphs import InputFormatError, _bits, _content_rows
 from .invariants import max_component_independent_set
 
 
@@ -327,24 +327,22 @@ class SeparatorBound:
 
 
 def gonality_upper_by_separator(G):
-    """Upper bound on gonality from a strong separator.
+    """Upper bound on gonality from a strong separator: the complement
+    of a largest set whose induced components have at most
+    limit = min(g - 2, m - 1) vertices, for girth g and largest
+    component order m.
 
-    Complements of component-bounded independent sets are strong
-    separators as long as the component bound stays below girth - 1;
-    the largest admissible bound gives the smallest separator.
+    Such a complement is always a strong separator.  A component of at
+    most g - 2 vertices has no cycle, so it is a tree, and two edges
+    from one separator vertex into it would close a cycle of length at
+    most limit + 1 < g.  A larger limit gives a smaller separator, and
+    limit < m keeps it nonempty.
     """
     if G.n == 0:
         raise ValueError("graph has no vertices")
-    g = G.girth()
-    top = G.n - 1 if g == INF else min(int(g) - 2, G.n - 1)
-    for limit in range(top, -1, -1):
-        independent = max_component_independent_set(G, limit)
-        sep = frozenset(range(G.n)) - independent
-        if not sep:
-            continue
-        if check_strong_separator(G, sep).valid:
-            return SeparatorBound(len(sep), sep, limit)
-    raise RuntimeError("internal error: no valid separator found")
+    limit = min(G.girth() - 2, max(map(len, G.connected_components())) - 1)
+    sep = frozenset(range(G.n)) - max_component_independent_set(G, limit)
+    return SeparatorBound(len(sep), sep, limit)
 
 
 # -- divisor documents ---------------------------------------------------

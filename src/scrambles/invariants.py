@@ -150,16 +150,16 @@ def max_component_independent_set(G, limit):
     """Largest vertex set whose induced components all have at most
     ``limit`` vertices, by branch and bound over vertex inclusion.
 
-    The search seeds its best set greedily (each vertex in index order
-    when it still fits), then branches on the lowest-index undecided
-    vertex, first including it, then excluding it, and records only
-    strict improvements.  A node keeps the candidates: the undecided
-    vertices that still fit.  For each candidate u, attach[u] holds the
-    chosen vertices in components adjacent to u, so u fits while
-    1 + |attach[u]| <= limit.  Including v forms the component
-    K = attach[v] + v; every candidate next to K gains K, and those
-    that no longer fit are dropped for good, since the chosen set only
-    grows.  A node with no candidates is a leaf.
+    The search branches on the lowest-index undecided vertex, first
+    including it, then excluding it, and records only strict
+    improvements; its first leaf is the greedy set (each vertex in index
+    order when it still fits).  A node keeps the candidates: the
+    undecided vertices that still fit.  For each candidate u, attach[u]
+    holds the chosen vertices in components adjacent to u, so u fits
+    while 1 + |attach[u]| <= limit.  Including v forms the component
+    K = attach[v] + v; every candidate next to K gains K, and those that
+    no longer fit are dropped for good, since the chosen set only grows.
+    A node with no candidates is a leaf.
 
     The bound is count + |candidates| - lost.  lost counts a greedy
     packing of disjoint connected groups of candidates whose size plus
@@ -212,14 +212,7 @@ def max_component_independent_set(G, limit):
                 found += 1
         return found
 
-    cand, attach = (1 << n) - 1, [0] * n
-    greedy = 0
-    for v in range(n):
-        bit = 1 << v
-        if cand & bit:
-            greedy |= bit
-            cand, attach = include(v, cand ^ bit, attach)
-    best, best_size = greedy, greedy.bit_count()
+    best, best_size = 0, 0
 
     def walk(chosen, count, cand, attach):
         nonlocal best, best_size
@@ -229,7 +222,10 @@ def max_component_independent_set(G, limit):
         if not cand:
             best, best_size = chosen, count
             return
-        if lost(cand, attach, room) >= room:
+        # before the first leaf lost cannot prune: a lone candidate
+        # always fits, so each group it counts holds two candidates and
+        # lost <= |cand| / 2 < room
+        if best_size and lost(cand, attach, room) >= room:
             return
         low = cand & -cand
         cand ^= low

@@ -41,7 +41,10 @@ class ScrambleFileError(InputFormatError):
 class Scramble:
     """Eggs as vertex bitmasks, deduplicated and sorted lexicographically
     by ascending vertex tuple; ``eggs`` spells them out as vertex sets,
-    built afresh on each read."""
+    built afresh on each read.  The egg engines assume connected eggs:
+    ``make_scramble``, ``parse_scramble`` and ``uniform_scramble`` ensure
+    them, while on a direct build the engines refuse only empty or
+    out-of-range masks."""
 
     graph: object
     masks: tuple
@@ -382,7 +385,8 @@ def egg_cut_number(S):
     search ``invariants._min_split`` grows such a side with its egg
     test.  When the eggs pairwise overlap no split passes, and the
     search could show that only by exhausting its tree, so a scan for
-    two disjoint eggs settles that case first.
+    two disjoint eggs settles that case first.  The leaf test assumes
+    connected eggs, which ``Scramble`` does not check.
     """
     G = S.graph
     inc, every, out = _egg_sets(S)

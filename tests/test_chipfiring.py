@@ -27,7 +27,7 @@ from scrambles import (
     path_graph,
     q_reduce,
 )
-from strategies import connected_multigraphs, divisors_for, plain_edges
+from strategies import connected_multigraphs, disjoint_unions, divisors_for, plain_edges
 
 
 @st.composite
@@ -238,6 +238,20 @@ class TestGonality:
         assert result.witness is None
         assert result.max_degree == 1
 
+    def test_negative_degree_cap_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gonality_bruteforce(cycle_graph(4), max_degree=-1)
+
+    def test_disconnected_graph_rejected(self):
+        G = Multigraph(4, [(0, 1), (2, 3)])
+        D = (1, 0, 0, 0)
+        with pytest.raises(ValueError, match="graph must be connected"):
+            q_reduce(G, D, 0)
+        with pytest.raises(ValueError, match="graph must be connected"):
+            is_equivalent(G, D, D)
+        with pytest.raises(ValueError, match="graph must be connected"):
+            gonality_bruteforce(G)
+
     @given(connected_multigraphs(max_n=4, max_extra=3))
     @settings(deadline=None, max_examples=25)
     def test_matches_lattice_oracle(self, G):
@@ -318,9 +332,23 @@ class TestStrongSeparators:
     @settings(deadline=None, max_examples=50)
     def test_bound_is_a_valid_separator_above_gonality(self, G):
         bound = gonality_upper_by_separator(G)
-        if bound.size < G.n:
-            assert check_strong_separator(G, bound.separator).valid
+        assert check_strong_separator(G, bound.separator).valid
         assert gonality_bruteforce(G).value <= bound.size
+
+    @given(st.one_of(connected_multigraphs(max_n=7), disjoint_unions()))
+    @settings(deadline=None, max_examples=60)
+    def test_bound_matches_oracles_on_one_or_two_components(self, G):
+        n, edges = plain_edges(G)
+        largest = max(map(len, oracles.components(n, edges)))
+        limit = min(oracles.girth_bfs(n, edges) - 2, largest - 1)
+        bound = gonality_upper_by_separator(G)
+        assert bound.component_limit == limit
+        assert bound.size == n - oracles.alpha_component_exhaustive(n, edges, limit)
+        assert check_strong_separator(G, bound.separator).valid
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            gonality_upper_by_separator(Multigraph(0))
 
 
 class TestDivisorDocuments:

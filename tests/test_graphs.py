@@ -2,6 +2,7 @@
 enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from scrambles import (
     Multigraph,
     complete_bipartite,
     complete_graph,
+    count_to_json,
     crown,
     cycle_graph,
     enumerate_connected_subsets,
@@ -82,6 +84,24 @@ class TestMultigraph:
             G.outdegree(set())
         with pytest.raises(ValueError):
             G.outdegree({0, 1, 2, 3})
+
+    def test_degenerate_inputs_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Multigraph(-1)
+        with pytest.raises(ValueError, match="no vertices"):
+            Multigraph(0).min_valence()
+        with pytest.raises(ValueError, match="empty vertex set"):
+            path_graph(3).is_connected_set(set())
+
+    def test_equality_with_other_types_and_repr(self):
+        G = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+        assert G != "not a graph"
+        assert G.__eq__(None) is NotImplemented
+        assert repr(G) == "Multigraph(n=3, m=3)"
+
+    def test_count_to_json(self):
+        assert count_to_json(INF) == {"finite": False, "value": None}
+        assert count_to_json(4) == {"finite": True, "value": 4}
 
 
 class TestGirth:
@@ -188,6 +208,14 @@ class TestParsing:
             parse_edge_list("3 1\n0 x\n")
         assert info.value.line == 2
 
+    def test_negative_header_and_long_edge_line(self):
+        with pytest.raises(EdgeListError, match="non-negative") as info:
+            parse_edge_list("-1 0\n")
+        assert info.value.line == 1
+        with pytest.raises(EdgeListError, match="two integers") as info:
+            parse_edge_list("3 1\n0 1 2\n")
+        assert info.value.line == 2
+
     @given(connected_multigraphs())
     @settings(deadline=None)
     def test_format_parse_roundtrip(self, G):
@@ -246,6 +274,23 @@ class TestGenerators:
         assert G.edge_count == 6
         assert G.valence(0) == 3
         assert G.valence(2) == 2
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: hypercube(-1), "non-negative"),
+            (lambda: folded_cube(0), "at least 1"),
+            (lambda: crown(2), "at least 3"),
+            (lambda: complete_bipartite(0, 1), "nonempty"),
+            (lambda: complete_graph(0), "at least one vertex"),
+            (lambda: path_graph(0), "at least one vertex"),
+            (lambda: random_connected_multigraph(random.Random(0), 0), "at least one vertex"),
+        ],
+        ids=["hypercube", "folded-cube", "crown", "complete-bipartite", "complete", "path", "random"],
+    )
+    def test_generators_reject_small_parameters(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_generate_dispatch(self):
         assert generate("hypercube", [3]) == hypercube(3)

@@ -140,6 +140,10 @@ class TestComponentIndependence:
     def test_limit_zero_forces_empty(self):
         assert component_independence_number(cycle_graph(4), 0) == 0
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            max_component_independent_set(cycle_graph(4), -1)
+
     def test_herschel_values(self):
         H = herschel_graph()
         assert independence_number(H) == 6

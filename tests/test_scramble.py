@@ -1,6 +1,8 @@
 """Hitting numbers, egg cuts, and scramble orders."""
 
+import itertools
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -261,6 +263,17 @@ class TestHitting:
         lines = []
         hitting_search(uniform_scramble(complete_graph(3), 2), progress=lines.append)
         assert any("size 1" in line for line in lines)
+
+    def test_progress_line_every_five_seconds(self, monkeypatch):
+        S = uniform_scramble(herschel_graph(), 3)
+        quiet = hitting_search(S)
+        clock = itertools.count(0.0, 6.0)
+        monkeypatch.setattr("scrambles.scramble.time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+        lines = []
+        result = hitting_search(S, progress=lines.append)
+        assert any(line.startswith("searching for size") for line in lines)
+        assert result.optimum == quiet.optimum == 5
+        assert result.nodes == quiet.nodes == 13
 
     def test_empty_scramble_rejected(self):
         G = path_graph(3)

@@ -320,21 +320,30 @@ def enumerate_connected_subsets(G, k):
     once, sorted lexicographically by ascending vertex tuple.
 
     Grows sets from their minimum vertex; a candidate frontier restricted
-    to unseen higher-numbered vertices guarantees uniqueness.
+    to unseen higher-numbered vertices guarantees uniqueness.  A set one
+    vertex short is completed by each frontier vertex in turn, with no
+    call per leaf.
     """
     n = G.n
     G._check_subset_size(k)
     nbr = G._mask
     found = []
+    append = found.append
 
     for root in range(n):
         above = -1 << (root + 1)
         sub0 = 1 << root
         ext0 = nbr[root] & above
+        if k == 1:
+            append(sub0)
+            continue
 
         def extend(sub, size, ext, seen):
-            if size == k:
-                found.append(sub)
+            if size == k - 1:
+                while ext:
+                    wbit = ext & -ext
+                    ext ^= wbit
+                    append(sub | wbit)
                 return
             while ext:
                 wbit = ext & -ext

@@ -15,6 +15,10 @@ with an egg test in place of its size test.  The uniform k-scramble
 instead, on any graph: its hitting number is n - alpha_{k-1}, and its
 egg-cut number is lambda_k of the one component holding k vertices (0
 when two do), so no egg is built there.
+
+Eggs read from a file or handed to ``make_scramble`` are checked
+connected all at once, by a search that spreads over the same
+transposed incidence.
 """
 
 import sys
@@ -63,18 +67,55 @@ def _canonical(G, masks):
     return Scramble(G, tuple(_lex_sorted(masks)))
 
 
+def _checked_masks(G, rows, replay, mask_of, disconnected):
+    """The set of distinct egg masks ``mask_of`` makes of ``rows``, every
+    one checked connected in a single ``_disconnected`` batch.
+
+    Whatever the fault, the first faulty row is the one reported.  A row
+    that ``mask_of`` refuses ends the pass; the masks read before it are
+    checked first, and if one fails, ``replay()`` (the rows again, in
+    order) names the first row that made it, which is raised as
+    ``disconnected(row)``.  The first disconnected row comes before the
+    refused one, so the replay never reaches the refused row.
+    """
+    masks = set()
+    refused = None
+    try:
+        masks.update(map(mask_of, rows))
+    except Exception as error:  # raised below, once the rows before it pass
+        refused = error
+    if masks:
+        order = list(masks)
+        bad = _disconnected(G, order)
+        if bad:
+            bad = {order[i] for i in _bits(bad)}
+            row = next(row for row in replay() if mask_of(row) in bad)
+            raise disconnected(row)
+    if refused is not None:
+        raise refused
+    return masks
+
+
 def make_scramble(G, eggs):
     """Validate eggs against G (nonempty, in range, connected) and build
-    the canonical scramble."""
-    masks = set()
-    for egg in eggs:
+    the canonical scramble; a fault is reported at the first faulty egg."""
+    held = []
+
+    def rows():
+        for egg in eggs:
+            held.append(egg)
+            yield egg
+
+    def mask_of(egg):
         mask = G._vertex_mask(egg)
         if not mask:
             raise ValueError("eggs must be nonempty")
-        if not G._mask_connected(mask):
-            raise ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
-        masks.add(mask)
-    return _canonical(G, masks)
+        return mask
+
+    def disconnected(egg):
+        return ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
+
+    return _canonical(G, _checked_masks(G, rows(), lambda: held, mask_of, disconnected))
 
 
 def uniform_scramble(G, k):
@@ -82,29 +123,56 @@ def uniform_scramble(G, k):
     return Scramble(G, tuple(enumerate_connected_subsets(G, k)))
 
 
+def _spelled_mask(tokens, n, lineno):
+    """The mask of an egg line read token by token with ``int``, so that
+    a line that does not hold distinct vertices of range(n) gets its
+    message, and tokens such as ``07`` or ``+1`` still parse."""
+    try:
+        vertices = [int(tok) for tok in tokens]
+    except ValueError:
+        raise ScrambleFileError("egg line must hold integers", lineno) from None
+    if len(set(vertices)) != len(vertices):
+        raise ScrambleFileError("repeated vertex in egg", lineno)
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ScrambleFileError(f"vertex {v} out of range", lineno)
+        mask |= 1 << v
+    return mask
+
+
 def parse_scramble(text, G):
     """One egg per line as whitespace-separated vertex indices; ``#``
-    lines are comments.  Eggs are validated against G on load, each
-    distinct egg once, at the first line that holds it."""
-    masks = set()
-    for lineno, tokens in _content_rows(text, ScrambleFileError):
+    lines are comments.
+
+    Each line's tokens are looked up in a table from the decimal spelling
+    of each vertex to its bit; the mask is their sum, and it holds a
+    repeated vertex iff it has fewer bits than the line has tokens.  A
+    miss or a repeat sends the line to ``int`` parsing and the range and
+    repeat checks.  The distinct masks are then checked connected in one
+    batch (``_disconnected``).  A fault is reported at the first faulty
+    line, whatever the fault; see ``_checked_masks``.
+    """
+    n = G.n
+    lookup = {str(v): 1 << v for v in range(n)}.__getitem__
+
+    def mask_of(row):
+        lineno, tokens = row
         try:
-            vertices = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ScrambleFileError("egg line must hold integers", lineno) from None
-        if len(set(vertices)) != len(vertices):
-            raise ScrambleFileError("repeated vertex in egg", lineno)
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < G.n:
-                raise ScrambleFileError(f"vertex {v} out of range", lineno)
-            mask |= 1 << v
-        if mask in masks:
-            continue
-        if not G._mask_connected(mask):
-            raise ScrambleFileError("egg does not induce a connected subgraph", lineno)
-        masks.add(mask)
-    return _canonical(G, masks)
+            mask = sum(map(lookup, tokens))
+            if mask.bit_count() == len(tokens):
+                return mask
+        except KeyError:
+            pass
+        return _spelled_mask(tokens, n, lineno)
+
+    def rows():
+        return _content_rows(text, ScrambleFileError)
+
+    def disconnected(row):
+        return ScrambleFileError("egg does not induce a connected subgraph", row[0])
+
+    return _canonical(G, _checked_masks(G, rows(), rows, mask_of, disconnected))
 
 
 # -- hitting number ------------------------------------------------------
@@ -158,6 +226,41 @@ def _incidence(masks, n):
             byte, bit = divmod(v - lo, 8)
             inc.append(int(packed[7 - byte :: 8].translate(_BINARY_DIGITS[bit]), 2))
     return inc
+
+
+def _disconnected(G, masks):
+    """The bitmask over the indices of ``masks`` (nonempty vertex masks
+    on G) of those that induce a disconnected subgraph, all tested at
+    once on the transposed incidence.
+
+    Bit i of ``reached[v]`` says that v is reached from the lowest vertex
+    of egg i without leaving egg i.  It starts at each egg's lowest
+    vertex, and ``reached[v] = inc[v] & (reached[v] | reached[u] for each
+    neighbour u)`` is swept over the vertices until nothing changes.  An
+    egg is disconnected iff one of its vertices is never reached.
+    """
+    inc = _incidence(masks, G.n)
+    reached = []
+    below = 0  # eggs holding a vertex below v
+    for row in inc:
+        reached.append(row & ~below)
+        below |= row
+    sweep = [(v, row, tuple(G._adj[v])) for v, row in enumerate(inc) if row]
+    grew = True
+    while grew:
+        grew = False
+        for v, row, nbrs in sweep:
+            now = reached[v]
+            for u in nbrs:
+                now |= reached[u]
+            now &= row
+            if now != reached[v]:
+                reached[v] = now
+                grew = True
+    bad = 0
+    for row, now in zip(inc, reached):
+        bad |= row & ~now
+    return bad
 
 
 def _egg_sets(S):
@@ -360,13 +463,25 @@ def _first_disjoint_pair(masks, inc, every):
     return None
 
 
+def _too_large_to_be_disjoint(S):
+    """Whether twice the smallest egg holds more than n vertices: then
+    any two eggs together hold more vertices than the graph, so by
+    pigeonhole they share one, and no two eggs are disjoint.  The first
+    egg's size alone rules most scrambles out before the full scan."""
+    n = S.graph.n
+    return 2 * S.masks[0].bit_count() > n and 2 * min(map(int.bit_count, S.masks)) > n
+
+
 def has_finite_egg_cut(S):
     """Whether two disjoint eggs exist; returns (flag, witness pair).
 
     Only a split with whole eggs on both sides counts as an egg cut, so
-    pairwise-overlapping scrambles have no finite one.
+    pairwise-overlapping scrambles have no finite one.  When twice the
+    smallest egg exceeds n, pigeonhole says so with no scan of the eggs.
     """
     inc, every, _ = _egg_sets(S)
+    if _too_large_to_be_disjoint(S):
+        return False, None
     pair = _first_disjoint_pair(S.masks, inc, every)
     if pair is None:
         return False, None
@@ -384,9 +499,11 @@ def egg_cut_number(S):
     the other egg across; neither step adds a crossing edge.  The split
     search ``invariants._min_split`` grows such a side with its egg
     test.  When the eggs pairwise overlap no split passes, and the
-    search could show that only by exhausting its tree, so a scan for
-    two disjoint eggs settles that case first.  The leaf test assumes
-    connected eggs, which ``Scramble`` does not check.
+    search could show that only by exhausting its tree, so that case is
+    settled first: by pigeonhole when twice the smallest egg exceeds n
+    (two eggs then hold more vertices than G, so they meet), else by a
+    scan for two disjoint eggs.  The leaf test assumes connected eggs,
+    which ``Scramble`` does not check.
     """
     G = S.graph
     inc, every, out = _egg_sets(S)
@@ -394,7 +511,7 @@ def egg_cut_number(S):
     home = G._component_of((S.masks[0] & -S.masks[0]).bit_length() - 1, full)
     if any(inc[v] for v in _bits(full ^ home)):
         return 0
-    if _first_disjoint_pair(S.masks, inc, every) is None:
+    if _too_large_to_be_disjoint(S) or _first_disjoint_pair(S.masks, inc, every) is None:
         return INF
     return invariants._min_split(G, home, out=out, every=every)
 

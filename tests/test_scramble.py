@@ -1,6 +1,7 @@
 """Hitting numbers, egg cuts, and scramble orders."""
 
 import itertools
+import random
 import tracemalloc
 import types
 
@@ -29,6 +30,7 @@ from scrambles import (
     parse_scramble,
     path_graph,
     restricted_edge_connectivity,
+    scramble,
     scramble_order,
     uniform_egg_cut_number,
     uniform_hitting_number,
@@ -167,13 +169,13 @@ class TestParsing:
         S = uniform_scramble(herschel_graph(), 3)
         rows = [" ".join(map(str, sorted(egg))) for egg in S.eggs]
         checked = []
-        connected = Multigraph._mask_connected
+        batch = scramble._disconnected
 
-        def counting(self, mask):
-            checked.append(mask)
-            return connected(self, mask)
+        def recording(G, masks):
+            checked.extend(masks)
+            return batch(G, masks)
 
-        monkeypatch.setattr(Multigraph, "_mask_connected", counting)
+        monkeypatch.setattr(scramble, "_disconnected", recording)
         T = parse_scramble("".join(row + "\n" for row in rows * 2), S.graph)
         assert T.masks == S.masks
         assert sorted(checked) == sorted(S.masks)
@@ -182,6 +184,76 @@ class TestParsing:
         with pytest.raises(ScrambleFileError, match="connected") as info:
             parse_scramble("0 1\n0 2\n1 2\n0 2\n", cycle_graph(4))
         assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("0 2\n0 x\n", "connected", 1),
+            ("0 x\n0 2\n", "integers", 1),
+            ("0 1\n1 1\n0 2\n", "repeated", 2),
+            ("0 1\n0 2\n1 9\n", "connected", 2),
+            ("0 1\n1 9\n0 2\n", "vertex 9 out of range", 2),
+            ("1 2\n# note\n\n3 1\n", "connected", 4),
+        ],
+    )
+    def test_first_faulty_line_is_reported(self, text, message, line):
+        with pytest.raises(ScrambleFileError, match=message) as info:
+            parse_scramble(text, cycle_graph(4))
+        assert info.value.line == line
+
+    def test_odd_tokens_parse_as_integers(self):
+        S = parse_scramble("00 +1\n1\t2\n", cycle_graph(4))
+        assert S.masks == (0b0011, 0b0110)
+
+    def test_five_cube_file_round_trip(self):
+        # the full-size file: 25,312 eggs, shuffled, every egg written twice
+        rng = random.Random(14)
+        S = uniform_scramble(hypercube(5), 6)
+        assert len(S) == 25312
+        rows = [sorted(egg) for egg in S.eggs * 2]
+        rng.shuffle(rows)
+        for row in rows:
+            rng.shuffle(row)
+        T = parse_scramble("".join(" ".join(map(str, row)) + "\n" for row in rows), S.graph)
+        assert T.masks == S.masks
+
+
+class TestBatchedConnectivity:
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_flags_exactly_the_disconnected_masks(self, data):
+        # up to 64 vertices, so egg masks fill whole 64-bit words
+        n = data.draw(st.integers(1, 64))
+        rng = data.draw(st.randoms(use_true_random=False))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        G = Multigraph(n, [(u, v) for u, v in pairs if u != v])
+        masks = set()
+        for _ in range(rng.randint(1, 90)):
+            if rng.random() < 0.5:  # a random set, most often disconnected
+                mask = rng.getrandbits(n) or 1
+            else:  # a connected set, grown from one vertex
+                mask = 1 << rng.randrange(n)
+                for _ in range(rng.randint(0, n)):
+                    border = [w for v in vertex_set(mask) for w in G.neighbors(v) if not mask >> w & 1]
+                    if not border:
+                        break
+                    mask |= 1 << rng.choice(border)
+            masks.add(mask)
+        masks = sorted(masks)
+        bad = scramble._disconnected(G, masks)
+        assert [bool(bad >> i & 1) for i in range(len(masks))] == [
+            not G._mask_connected(mask) for mask in masks
+        ]
+
+    def test_make_scramble_reports_the_first_faulty_egg(self):
+        with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce") as info:
+            make_scramble(cycle_graph(4), [{0, 1}, {0, 2}, {9}])
+        assert not isinstance(info.value, ScrambleFileError)
+        with pytest.raises(ValueError, match="vertex 9 out of range"):
+            make_scramble(cycle_graph(4), [{0, 1}, {9}, {0, 2}])
+        # a one-shot iterable is read again from the eggs it has given
+        with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce"):
+            make_scramble(cycle_graph(4), iter([{0, 1}, {0, 2}, set()]))
 
 
 class TestHitting:
@@ -410,6 +482,17 @@ class TestEggCut:
         assert len(through_31) == 170
         for S in (make_scramble(Q5, through_31), uniform_scramble(hypercube(4), 9)):
             assert egg_cut_number(S) == INF
+
+    def test_large_eggs_are_settled_by_pigeonhole(self, monkeypatch):
+        # two k-sets of a graph on fewer than 2k vertices always meet
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the disjoint-pair scan ran")
+
+        monkeypatch.setattr(scramble, "_first_disjoint_pair", no_scan)
+        for G, k in ((hypercube(4), 9), (cycle_graph(7), 4), (herschel_graph(), 6)):
+            S = uniform_scramble(G, k)
+            assert egg_cut_number(S) == INF
+            assert has_finite_egg_cut(S) == (False, None)
 
     def test_pairwise_overlapping_nine_sets(self):
         # any two 9-sets of 16 vertices meet, so no egg cut exists

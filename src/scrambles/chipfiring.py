@@ -6,10 +6,10 @@ separator-based upper bounds.
 A divisor is a plain tuple of n ints, one chip count per vertex.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import InputFormatError, _bits, _content_rows
-from .invariants import max_component_independent_set
+from .invariants import max_component_independent_set, restricted_edge_connectivity
 
 
 class DivisorFileError(InputFormatError):
@@ -137,15 +137,43 @@ def _reduce_along(G, D, q, order):
         burnt, incoming, burnt_count = _burn(adj, chips, q)
         if burnt_count == n:
             return tuple(chips)
-        times = min(
-            chips[v] // incoming[v] for v in range(n) if not burnt[v] and incoming[v]
-        )
-        for v in range(n):
-            if not burnt[v] and incoming[v]:
-                chips[v] -= times * incoming[v]
-                for w, m in adj[v].items():
-                    if burnt[w]:
-                        chips[w] += times * m
+        _fire_unburnt(adj, chips, burnt, incoming)
+
+
+def _fire_unburnt(adj, chips, burnt, incoming):
+    """Fire the set that survived a burn, in place, as many times at
+    once as every member can pay for."""
+    n = len(chips)
+    times = min(
+        chips[v] // incoming[v] for v in range(n) if not burnt[v] and incoming[v]
+    )
+    for v in range(n):
+        if not burnt[v] and incoming[v]:
+            chips[v] -= times * incoming[v]
+            for w, m in adj[v].items():
+                if burnt[w]:
+                    chips[w] += times * m
+
+
+def _keeps_chip(adj, D, q):
+    """Whether the q-reduced form of the effective divisor D holds a
+    chip on q.
+
+    D has no debt, so the burning loop of ``_reduce_along`` alone
+    reduces it, and needs no BFS order.  Reduction never takes a chip
+    off q, so the loop stops as soon as q holds one.  D is copied only
+    when a set fires, and is never changed.
+    """
+    chips = D
+    n = len(D)
+    while chips[q] < 1:
+        burnt, incoming, burnt_count = _burn(adj, chips, q)
+        if burnt_count == n:
+            return False
+        if chips is D:
+            chips = list(D)
+        _fire_unburnt(adj, chips, burnt, incoming)
+    return True
 
 
 def q_reduce(G, D, q):
@@ -172,16 +200,19 @@ def is_equivalent(G, D1, D2):
 
 def has_positive_rank(G, D):
     """Whether D stays effective after removing one chip anywhere: the
-    q-reduced form must keep at least one chip on q for every q."""
+    q-reduced form must keep at least one chip on q for every q.
+
+    Rank is a class invariant, so D is first replaced by its 0-reduced
+    form D0.  That needs a chip on 0; then D0 is effective, and the
+    other vertices need only the burning test of ``_keeps_chip``.
+    """
     _check_divisor(G, D)
     if not G.is_connected():
         raise ValueError("graph must be connected")
     if sum(D) < 0:
         return False
-    for q in range(G.n):
-        if _reduce_along(G, D, q, _bfs_order(G, q))[q] < 1:
-            return False
-    return True
+    D0 = _reduce_along(G, D, 0, _bfs_order(G, 0))
+    return D0[0] >= 1 and all(_keeps_chip(G._adj, D0, q) for q in range(1, G.n))
 
 
 # -- gonality ------------------------------------------------------------
@@ -190,22 +221,25 @@ def has_positive_rank(G, D):
 @dataclass(frozen=True)
 class GonalityResult:
     """``value``/``witness`` are set when the search found a divisor;
-    ``exceeded_cap`` reports running out of degrees instead."""
+    ``exceeded_cap`` reports running out of degrees instead.
+    ``rank_tests`` counts the divisors the search tested for positive
+    rank, and ``superstable_burns`` the burns it ran to prove a
+    configuration superstable; neither takes part in equality."""
 
     value: object
     witness: object
     exceeded_cap: bool
     max_degree: int
+    rank_tests: int = field(compare=False)
+    superstable_burns: int = field(compare=False)
 
 
-def _refusing_vertex(G, D, orders, first):
+def _refusing_vertex(adj, D, first):
     """A vertex whose reduced form of the effective divisor D holds no
-    chip, trying ``first`` before the rest; None when D has positive rank.
-
-    Reduction only moves chips toward q, so q with a chip already passes.
-    """
-    for q in (first, *range(first), *range(first + 1, G.n)):
-        if D[q] < 1 and _reduce_along(G, D, q, orders[q])[q] < 1:
+    chip, trying ``first`` before the rest; None when D has positive
+    rank."""
+    for q in (first, *range(first), *range(first + 1, len(D))):
+        if not _keeps_chip(adj, D, q):
             return q
     return None
 
@@ -224,6 +258,16 @@ def gonality_bruteforce(G, max_degree=None):
     then visits superstables by ascending degree, one depth-first pass
     per degree that adds chips at non-decreasing vertices.
 
+    A configuration c off 0 with fewer than lambda(G) chips, the edge
+    connectivity, is superstable without a burn: if a nonempty set S of
+    V - 0 could fire, each v in S would hold at least outdeg_S(v) chips,
+    so c(S) >= |boundary(S)| >= lambda(G).  The search burns only
+    configurations of at least lambda(G) chips.  A wrong lambda could
+    cost burns or change the witness, never the value: too small, and
+    the search burns more; too large, and it also visits divisors that
+    are not 0-reduced, whose rank test is still exact because rank is a
+    class invariant.
+
     Returns the first 0-reduced positive-rank divisor of the minimal
     degree that the search meets.  The default degree cap is n, which is
     never the binding constraint on a connected graph.
@@ -237,40 +281,50 @@ def gonality_bruteforce(G, max_degree=None):
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
     adj = G._adj
-    orders = [_bfs_order(G, q) for q in range(n)]
     chips = [0] * n
     best = cap + 1
     witness = None
     refused = 0
+    rank_tests = burns = 0
 
     for j in range(1, cap + 1):
         chips[0] = j
-        q = _refusing_vertex(G, chips, orders, refused)
+        rank_tests += 1
+        q = _refusing_vertex(adj, chips, refused)
         if q is None:
             best, witness = j, tuple(chips)
             break
         refused = q
     chips[0] = 0
 
-    def leaves(t, start):
-        """Superstables of degree t with chips only at vertices >= start,
-        each yielded as the live chip vector."""
+    def leaves(t, start, placed):
+        """Superstables of degree placed + t that add chips only at
+        vertices >= start to the ``placed`` chips already in place, each
+        yielded as the live chip vector."""
         if t == 0:
             yield chips
             return
         for v in range(start, n):
             chips[v] += 1
-            if _burn(adj, chips, 0)[2] == n:
-                yield from leaves(t - 1, v)
+            if placed + 1 < lam or superstable():
+                yield from leaves(t - 1, v, placed + 1)
             chips[v] -= 1
 
+    def superstable():
+        nonlocal burns
+        burns += 1
+        return _burn(adj, chips, 0)[2] == n
+
+    if best > 2:
+        lam = restricted_edge_connectivity(G, 1)
     t = 1
     while t <= best - 2:
-        for c in leaves(t, 1):
+        for c in leaves(t, 1, 0):
             j = best - 1 - t
             while j >= 1:
                 c[0] = j
-                q = _refusing_vertex(G, c, orders, refused)
+                rank_tests += 1
+                q = _refusing_vertex(adj, c, refused)
                 if q is not None:
                     refused = q
                     break
@@ -282,8 +336,8 @@ def gonality_bruteforce(G, max_degree=None):
         t += 1
 
     if witness is None:
-        return GonalityResult(None, None, True, cap)
-    return GonalityResult(best, witness, False, cap)
+        return GonalityResult(None, None, True, cap, rank_tests, burns)
+    return GonalityResult(best, witness, False, cap, rank_tests, burns)
 
 
 # -- strong separators ---------------------------------------------------

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from scrambles import (
     DivisorFileError,
+    GonalityResult,
     Multigraph,
     check_strong_separator,
+    chipfiring,
     complete_bipartite,
     complete_graph,
+    crown,
     cycle_graph,
     degree,
     fire_subset,
@@ -217,6 +220,14 @@ class TestPositiveRank:
             *plain_edges(G), D
         )
 
+    @given(graph_and_divisor(max_n=7, low=0, high=4))
+    @settings(deadline=None, max_examples=80)
+    def test_early_exit_rank_test_matches_dhar_oracle(self, pair):
+        # D is tested as drawn, not 0-reduced first, so sets fire
+        G, D = pair
+        keeps = all(chipfiring._keeps_chip(G._adj, D, q) for q in range(G.n))
+        assert keeps == oracles.has_positive_rank_dhar(*plain_edges(G), D)
+
 
 class TestGonality:
     def test_known_values(self):
@@ -287,6 +298,60 @@ class TestGonality:
         capped = gonality_bruteforce(G, max_degree=value - 1)
         assert capped.exceeded_cap
         assert capped.value is None
+
+    def test_named_witnesses_are_pinned(self):
+        assert gonality_bruteforce(hypercube(3)).witness == (3, 0, 0, 0, 0, 0, 0, 1)
+        assert gonality_bruteforce(herschel_graph()).witness == (3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+        for m in (6, 7):
+            want = [0] * (2 * m)
+            want[0], want[m] = m - 1, 1
+            assert gonality_bruteforce(crown(m)).witness == tuple(want)
+
+    def test_no_superstability_burn_below_the_edge_connectivity(self):
+        # crown 7 is 6-regular with lambda = 6, and a search for
+        # gonality 7 places at most 5 chips off vertex 0
+        result = gonality_bruteforce(crown(7))
+        assert result.value == 7
+        assert result.superstable_burns == 0
+        assert result.rank_tests > 0
+
+    def test_counters_take_no_part_in_equality(self):
+        assert GonalityResult(2, (1, 1), False, 2, 3, 4) == GonalityResult(2, (1, 1), False, 2, 5, 6)
+
+    @given(connected_multigraphs(min_n=1, max_n=7, max_extra=6))
+    @settings(deadline=None, max_examples=40)
+    def test_zero_edge_connectivity_changes_nothing(self, G):
+        want = gonality_bruteforce(G)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chipfiring, "restricted_edge_connectivity", lambda G, k: 0)
+            got = gonality_bruteforce(G)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        assert got.superstable_burns >= want.superstable_burns
+
+    def test_zero_edge_connectivity_changes_nothing_on_named_graphs(self, monkeypatch):
+        graphs = [hypercube(3), herschel_graph(), crown(6), crown(7)]
+        want = [gonality_bruteforce(G) for G in graphs]
+        monkeypatch.setattr(chipfiring, "restricted_edge_connectivity", lambda G, k: 0)
+        got = [gonality_bruteforce(G) for G in graphs]
+        assert [(r.value, r.witness) for r in got] == [(r.value, r.witness) for r in want]
+        # lambda = 3, 3, 5, 6: only Herschel's search reaches lambda chips
+        assert [r.superstable_burns for r in want] == [0, 220, 0, 0]
+        assert [r.superstable_burns for r in got] == [42, 360, 1815, 11622]
+        assert [r.rank_tests for r in got] == [r.rank_tests for r in want] == [43, 288, 1383, 8589]
+
+    @given(connected_multigraphs(min_n=1, max_n=6, max_extra=6))
+    @settings(deadline=None, max_examples=40)
+    def test_skipping_every_burn_keeps_the_value(self, G):
+        # with no burn at all the walk also visits divisors that are not
+        # 0-reduced; the rank test stays exact on them
+        n, edges = plain_edges(G)
+        value, _ = oracles.gonality_lexicographic(n, edges, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chipfiring, "restricted_edge_connectivity", lambda G, k: G.n * G.n)
+            result = gonality_bruteforce(G)
+        assert result.value == value
+        assert result.superstable_burns == 0
+        assert oracles.has_positive_rank_dhar(n, edges, result.witness)
 
 
 class TestStrongSeparators:

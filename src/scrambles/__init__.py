@@ -64,6 +64,7 @@ from .scramble import (
     scramble_order,
     uniform_egg_cut_number,
     uniform_hitting_number,
+    uniform_hitting_search,
     uniform_order_via_invariants,
     uniform_scramble,
 )

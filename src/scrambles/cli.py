@@ -163,8 +163,9 @@ def _cmd_scramble_uniform(args):
             def progress(message):
                 print(message, file=sys.stderr, flush=True)
 
-        result = scramble.hitting_search(
-            scramble.uniform_scramble(G, args.k),
+        result = scramble.uniform_hitting_search(
+            G,
+            args.k,
             target=args.prove_at_least,
             budget=args.budget,
             progress=progress,

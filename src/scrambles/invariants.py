@@ -10,7 +10,9 @@ number of a scramble; both reach 32-vertex cubes in seconds.  The
 component independence number is a branch and bound over vertex
 inclusion that drops vertices once they can no longer fit and bounds
 each node by a packing of disjoint overfull groups; it also reaches
-32-vertex cubes in seconds.  The minimum connected outdegree
+32-vertex cubes in seconds.  Given a floor, the same walk decides
+whether a set beats it and stops at the first one, which is how the
+uniform hitting search deepens.  The minimum connected outdegree
 enumerates connected k-sets directly.
 """
 
@@ -146,9 +148,14 @@ def is_lambda_k_optimal(G, k):
     return restricted_edge_connectivity(G, k) == min_connected_outdegree(G, k)
 
 
-def max_component_independent_set(G, limit):
+def max_component_independent_set(G, limit, floor=None, tick=None):
     """Largest vertex set whose induced components all have at most
     ``limit`` vertices, by branch and bound over vertex inclusion.
+
+    With ``floor``, the search decides instead: it returns the first such
+    set it meets with more than ``floor`` vertices, or None when none
+    exists.  ``tick``, when given, is called at each node the walk
+    expands; whatever it raises ends the search.
 
     The search branches on the lowest-index undecided vertex, first
     including it, then excluding it, and records only strict
@@ -166,13 +173,15 @@ def max_component_independent_set(G, limit):
     their attached chosen vertices exceeds ``limit``: no such group
     can join whole, so each loses at least one vertex.  Groups may
     share attached components, since their candidates are disjoint.
-    A node is pruned once the bound reaches the best size found.
+    A node is pruned once the bound reaches the best size found.  A
+    decision starts that size at the floor, and once a set beats it sets
+    the size to n, so every node left is pruned on the spot.
     """
     if limit < 0:
         raise ValueError("component bound must be non-negative")
     n = G.n
     if limit == 0 or n == 0:
-        return frozenset()
+        return frozenset() if floor is None or floor < 0 else None
     nbr = G._mask
 
     def include(v, cand, attach):
@@ -212,19 +221,21 @@ def max_component_independent_set(G, limit):
                 found += 1
         return found
 
-    best, best_size = 0, 0
+    best, best_size = None, 0 if floor is None else floor
 
     def walk(chosen, count, cand, attach):
         nonlocal best, best_size
         room = count + cand.bit_count() - best_size
         if room <= 0:
             return
+        if tick is not None:
+            tick()
         if not cand:
-            best, best_size = chosen, count
+            best, best_size = chosen, count if floor is None else n
             return
-        # before the first leaf lost cannot prune: a lone candidate
-        # always fits, so each group it counts holds two candidates and
-        # lost <= |cand| / 2 < room
+        # while best_size is 0 (no leaf yet, no floor) lost cannot
+        # prune: a lone candidate always fits, so each group it counts
+        # holds two candidates and lost <= |cand| / 2 < room
         if best_size and lost(cand, attach, room) >= room:
             return
         low = cand & -cand
@@ -233,7 +244,7 @@ def max_component_independent_set(G, limit):
         walk(chosen, count, cand, attach)
 
     walk(0, 0, (1 << n) - 1, [0] * n)
-    return frozenset(_bits(best))
+    return None if best is None else frozenset(_bits(best))
 
 
 def component_independence_number(G, limit):

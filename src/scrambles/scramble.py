@@ -14,7 +14,10 @@ with an egg test in place of its size test.  The uniform k-scramble
 (every connected k-set) takes its numbers from graph invariants
 instead, on any graph: its hitting number is n - alpha_{k-1}, and its
 egg-cut number is lambda_k of the one component holding k vertices (0
-when two do), so no egg is built there.
+when two do), so no egg is built there.  Its budgeted hitting search
+deepens too, asking at each size s whether alpha_{k-1} exceeds
+n - s - 1; both deepening searches share one node counter, deadline and
+progress line (``_Deepening``).
 
 Eggs read from a file or handed to ``make_scramble`` are checked
 connected all at once, by a search that spreads over the same
@@ -180,7 +183,7 @@ def parse_scramble(text, G):
 
 @dataclass
 class HittingSearchResult:
-    """Outcome of the iterative-deepening hitting search.
+    """Outcome of an iterative-deepening hitting search.
 
     ``proved_lower`` always holds (the hitting number is at least this);
     ``optimum``/``witness`` are set when the search finished, which is
@@ -200,6 +203,67 @@ class HittingSearchResult:
 
 class _Deadline(Exception):
     pass
+
+
+def _check_budget(budget):
+    if budget is not None and not budget >= 0:  # also refuses NaN
+        raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
+
+
+class _Deepening:
+    """What the two hitting searches share: a node counter, a deadline,
+    a progress line every 5 seconds, and the loop over sizes.  The clock
+    starts when the object is made."""
+
+    def __init__(self, budget, progress):
+        self.start = time.monotonic()
+        self.deadline = None if budget is None else self.start + budget
+        self.progress = progress
+        self.ping = self.start + 5.0
+        self.nodes = 0
+        self.size = None
+
+    def tick(self):
+        """Count a node; raise ``_Deadline`` once the budget is spent."""
+        self.nodes += 1
+        if self.deadline is not None or self.progress is not None:
+            now = time.monotonic()
+            if self.deadline is not None and now > self.deadline:
+                raise _Deadline
+            if self.progress is not None and now >= self.ping:
+                self.ping = now + 5.0
+                self.progress(
+                    f"searching for size {self.size}: {self.nodes} nodes, "
+                    f"{now - self.start:.0f}s"
+                )
+
+    def run(self, proved, decide, target):
+        """Try sizes proved, proved + 1, ... with ``decide(size)``, a
+        hitting set of at most that size or None, until one is found,
+        ``target`` is proven, or the deadline passes."""
+        optimum = witness = None
+        try:
+            while target is None or proved < target:
+                self.size = proved
+                hit = decide(proved)
+                if hit is not None:
+                    optimum, witness = proved, frozenset(hit)
+                    break
+                proved += 1
+                if self.progress is not None:
+                    self.progress(
+                        f"no hitting set of size {proved - 1}: number is >= {proved} "
+                        f"({self.nodes} nodes, {time.monotonic() - self.start:.1f}s)"
+                    )
+        except _Deadline:
+            pass
+        return HittingSearchResult(
+            proved_lower=proved,
+            optimum=optimum,
+            witness=witness,
+            elapsed=time.monotonic() - self.start,
+            nodes=self.nodes,
+        )
 
 
 _WORD = (1 << 64) - 1
@@ -335,11 +399,10 @@ def hitting_search(S, target=None, budget=None, progress=None):
 
     ``budget`` is None or a number of seconds >= 0 (inf included).
     """
-    if budget is not None and not budget >= 0:  # also refuses NaN
-        raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
+    _check_budget(budget)
     inc, every, outside = _egg_sets(S)
-    start = time.monotonic()
-    deadline = None if budget is None else start + budget
+    search = _Deepening(budget, progress)
+    tick = search.tick
     masks = S.masks
     n = S.graph.n
 
@@ -363,26 +426,16 @@ def hitting_search(S, target=None, budget=None, progress=None):
         return count
 
     greedy = greedy_cover()
-    upper = len(greedy)
     sizes = _sliced_sum(inc)
-    nodes = [0]
-    ping = [start + 5.0]
 
     def decide(size_cap):
-        """A hitting set of size <= size_cap, or None if none exists."""
+        """A hitting set of size <= size_cap, or None if none exists; the
+        greedy cover, with no search, once it fits."""
+        if size_cap >= len(greedy):
+            return greedy
 
         def walk(uncovered, banned, counts, chosen):
-            nodes[0] += 1
-            if deadline is not None or progress is not None:
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    raise _Deadline
-                if progress is not None and now >= ping[0]:
-                    ping[0] = now + 5.0
-                    progress(
-                        f"searching for size {size_cap}: {nodes[0]} nodes, "
-                        f"{now - start:.0f}s"
-                    )
+            tick()
             if not uncovered:
                 return list(chosen)
             slack = size_cap - len(chosen)
@@ -404,36 +457,7 @@ def hitting_search(S, target=None, budget=None, progress=None):
         return walk(every, 0, sizes, [])
 
     proved = max(packing(every, 0, len(masks)), 1)
-    optimum = None
-    witness = None
-    try:
-        while True:
-            if target is not None and proved >= target:
-                break
-            if proved >= upper:
-                optimum = upper
-                witness = frozenset(greedy)
-                break
-            hit = decide(proved)
-            if hit is not None:
-                optimum = proved
-                witness = frozenset(hit)
-                break
-            proved += 1
-            if progress is not None:
-                progress(
-                    f"no hitting set of size {proved - 1}: number is >= {proved} "
-                    f"({nodes[0]} nodes, {time.monotonic() - start:.1f}s)"
-                )
-    except _Deadline:
-        pass
-    return HittingSearchResult(
-        proved_lower=proved,
-        optimum=optimum,
-        witness=witness,
-        elapsed=time.monotonic() - start,
-        nodes=nodes[0],
-    )
+    return search.run(proved, decide, target)
 
 
 def hitting_number(S):
@@ -539,6 +563,34 @@ def uniform_hitting_number(G, k):
     if not hitting:  # every component is smaller than k: no eggs
         raise ValueError("empty scramble")
     return hitting
+
+
+def uniform_hitting_search(G, k, target=None, budget=None, progress=None):
+    """``hitting_search`` on the uniform k-scramble, deepening on
+    alpha_{k-1} with no egg built.
+
+    A set of at most s vertices meets every connected k-set iff the rest,
+    at least n - s vertices, has no component above k - 1.  Level s asks
+    ``invariants.max_component_independent_set`` whether such a rest
+    exists, stopping at the first one found; if none does, the hitting
+    number is at least s + 1, else it is s and the complement of that
+    rest is the witness.  Levels start at 1, and every node of the alpha
+    walk counts toward ``nodes``, the deadline and the progress lines.
+    """
+    G._check_subset_size(k)
+    _check_budget(budget)
+    if all(len(comp) < k for comp in G.connected_components()):
+        raise ValueError("empty scramble")
+    search = _Deepening(budget, progress)
+    everything = frozenset(range(G.n))
+
+    def decide(size):
+        rest = invariants.max_component_independent_set(
+            G, k - 1, floor=G.n - size - 1, tick=search.tick
+        )
+        return None if rest is None else everything - rest
+
+    return search.run(1, decide, target)
 
 
 def uniform_egg_cut_number(G, k):

@@ -3,10 +3,11 @@
 Each test here pins one advertised result to its exact value and holds
 the computation to a wall-clock budget.  Every criterion prints a single
 summary line on the real stdout so the verdicts are visible in any run.
-Criterion 05 runs the full hitting search on the 25,312 eggs of the
-32-vertex cube, twice, criterion 13 its component independence
-numbers at c = 5 and 6, and criterion 14 the order of those eggs read
-from a file; all three are excluded from the default run and opted
+Criterion 05 runs the full hitting search of the 6-uniform scramble of
+the 32-vertex cube, deepening on alpha_5 with no egg built, and then
+the three-line summary; criterion 13 runs its component independence
+numbers at c = 5 and 6, and criterion 14 the order of its 25,312
+connected 6-sets read from a file; all three are excluded from the default run and opted
 into with ``-m longrun``.
 """
 
@@ -139,7 +140,8 @@ def test_criterion_05_excluded_by_default():
 @criterion(5, "five-cube hitting number and order", 120.0)
 def test_criterion_05_five_cube_hitting_number(tmp_path, capsys):
     """The full hitting search on the 6-uniform scramble of the 32-vertex
-    cube finishes within its budget and prints the exact value, 16; the
+    cube, an alpha_5 decision at each size from 1 up (no egg built),
+    finishes within its budget and prints the exact value, 16; the
     three-line summary then gives hitting number, egg-cut number (lambda_6)
     and order, all 16."""
     path = tmp_path / "q5.edges"

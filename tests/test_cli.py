@@ -366,6 +366,40 @@ class TestScrambleUniform:
         assert code == 0
         assert captured.out.strip() == "hitting number >= 1"
 
+    def test_hitting_floor_builds_no_eggs(self, graph_file, capsys, monkeypatch):
+        path = graph_file("hypercube", "5")
+        capsys.readouterr()
+
+        def no_eggs(*args):
+            raise AssertionError("eggs built")
+
+        monkeypatch.setattr("scrambles.scramble.uniform_scramble", no_eggs)
+        for name in ("graphs", "scramble", "invariants"):
+            monkeypatch.setattr(f"scrambles.{name}.enumerate_connected_subsets", no_eggs)
+        code = run_cli(
+            ["scramble", "uniform", "6", path, "--hitting", "--prove-at-least", "8"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "hitting number >= 8"
+
+    def test_long_running_reports_every_level_from_one(self, graph_file, capsys):
+        path = graph_file("hypercube", "4")
+        capsys.readouterr()
+        code = run_cli(
+            ["scramble", "uniform", "5", path, "--hitting", "--long-running"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "8"
+        levels = [
+            line.split(" (")[0]
+            for line in captured.err.splitlines()
+            if line.startswith("no hitting set")
+        ]
+        assert levels == [
+            f"no hitting set of size {s}: number is >= {s + 1}" for s in range(1, 8)
+        ]
+
 
 class TestScrambleFiles:
     def test_order_of_an_explicit_scramble(self, graph_file, write, capsys):

@@ -31,7 +31,7 @@ from scrambles import (
     restricted_edge_connectivity,
     uniform_scramble,
 )
-from strategies import connected_multigraphs, plain_edges, vertex_set
+from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
 
 
 class TestRestrictedConnectivity:
@@ -215,6 +215,54 @@ class TestComponentIndependence:
         assert len(witness) == component_independence_number(G, ell)
         for comp in G.connected_components(witness):
             assert len(comp) <= ell
+
+
+class TestComponentIndependenceDecision:
+    @given(
+        st.one_of(connected_multigraphs(max_n=10, max_extra=12), disjoint_unions()),
+        st.sampled_from([1, 2, 3]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_decision_matches_exhaustive_oracle(self, G, c, data):
+        n, edges = plain_edges(G)
+        alpha = oracles.alpha_component_exhaustive(n, edges, c)
+        floor = data.draw(st.one_of(st.integers(-1, n), st.integers(alpha - 2, alpha + 1)))
+        found = max_component_independent_set(G, c, floor=floor)
+        assert (found is None) == (alpha <= floor)
+        if found is not None:
+            assert len(found) > floor
+            assert all(len(comp) <= c for comp in oracles.components(n, edges, found))
+
+    def test_limit_zero_holds_only_the_empty_set(self):
+        assert max_component_independent_set(cycle_graph(4), 0, floor=-1) == frozenset()
+        assert max_component_independent_set(cycle_graph(4), 0, floor=0) is None
+
+    def test_stops_at_the_first_set_above_the_floor(self):
+        # herschel's alpha_4 is 8; a floor of 5 is met by the first leaf,
+        # the greedy set, with no search for a larger one
+        H = herschel_graph()
+        ticks = []
+        found = max_component_independent_set(H, 4, floor=5, tick=lambda: ticks.append(1))
+        assert len(found) > 5
+        assert len(ticks) < 12
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_tick_leaves_the_witness_alone(self, c):
+        ticks = []
+        ticked = max_component_independent_set(herschel_graph(), c, tick=lambda: ticks.append(1))
+        assert ticked == max_component_independent_set(herschel_graph(), c)
+        assert ticks
+
+    def test_tick_can_end_the_search(self):
+        class Stop(Exception):
+            pass
+
+        def tick():
+            raise Stop
+
+        with pytest.raises(Stop):
+            max_component_independent_set(hypercube(4), 2, floor=7, tick=tick)
 
 
 class TestMonotonicity:

@@ -34,6 +34,7 @@ from scrambles import (
     scramble_order,
     uniform_egg_cut_number,
     uniform_hitting_number,
+    uniform_hitting_search,
     uniform_order_via_invariants,
     uniform_scramble,
 )
@@ -414,6 +415,73 @@ class TestHitting:
         assert not result.complete
         assert result.proved_lower == 8
         assert result.nodes == 76
+
+
+class TestUniformHittingSearch:
+    """The alpha deepening shares its engine with ``uniform_hitting_number``,
+    so it is checked against egg-level oracles that share neither."""
+
+    @given(st.one_of(connected_multigraphs(max_n=9, max_extra=10), disjoint_unions()), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_exhaustive_oracle(self, G, data):
+        n, edges = plain_edges(G)
+        k = data.draw(st.integers(1, n))
+        eggs = [set(egg) for egg in oracles.connected_ksubsets(n, edges, k)]
+        if not eggs:
+            with pytest.raises(ValueError, match="empty scramble"):
+                uniform_hitting_search(G, k)
+            return
+        want = oracles.hitting_exhaustive(n, eggs)
+        result = uniform_hitting_search(G, k)
+        assert result.complete
+        assert result.optimum == result.proved_lower == want
+        assert len(result.witness) == want
+        assert all(result.witness & egg for egg in eggs)
+        target = data.draw(st.integers(1, want))
+        capped = uniform_hitting_search(G, k, target=target)
+        assert not capped.complete
+        assert capped.proved_lower == target
+        assert uniform_hitting_search(G, k, target=want + 1).optimum == want
+        if k > 1:  # alpha_0 needs no walk, so no node can spend the budget
+            spent = uniform_hitting_search(G, k, budget=0)
+            assert not spent.complete
+            assert spent.proved_lower == 1
+
+    def test_five_cube_floor(self):
+        result = uniform_hitting_search(hypercube(5), 6, target=8)
+        assert not result.complete
+        assert result.proved_lower == 8
+
+    def test_budget_is_honored(self):
+        result = uniform_hitting_search(hypercube(5), 6, budget=0.2)
+        assert not result.complete
+        assert 1 <= result.proved_lower <= 16
+        assert result.elapsed < 2.0
+
+    def test_progress_reports_each_level(self):
+        lines = []
+        result = uniform_hitting_search(herschel_graph(), 3, progress=lines.append)
+        assert result.optimum == 5
+        assert [line.split(":")[0] for line in lines] == [
+            f"no hitting set of size {s}" for s in range(1, 5)
+        ]
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="out of range"):
+            uniform_hitting_search(cycle_graph(4), 5)
+        with pytest.raises(ValueError, match="budget must be a number of seconds >= 0"):
+            uniform_hitting_search(cycle_graph(4), 2, budget=float("nan"))
+        with pytest.raises(ValueError, match="empty scramble"):
+            uniform_hitting_search(Multigraph(4, [(0, 1), (2, 3)]), 3)
+
+    def test_builds_no_eggs(self, monkeypatch):
+        def no_eggs(*args):
+            raise AssertionError("eggs built")
+
+        for name in ("graphs", "scramble", "invariants"):
+            monkeypatch.setattr(f"scrambles.{name}.enumerate_connected_subsets", no_eggs)
+        result = uniform_hitting_search(hypercube(4), 5)
+        assert result.optimum == 8
 
 
 class TestEggCut:

@@ -18,7 +18,7 @@ from .chipfiring import (
     parse_divisor,
     q_reduce,
 )
-from .flow import min_edge_cut, min_separating_cut
+from .flow import min_edge_cut
 from .graphs import (
     INF,
     EdgeListError,
@@ -43,9 +43,7 @@ from .graphs import (
 from .invariants import (
     component_independence_number,
     compute_invariant,
-    dissociation_number,
     independence_number,
-    is_lambda_k_optimal,
     max_component_independent_set,
     min_connected_outdegree,
     restricted_edge_connectivity,
@@ -59,7 +57,6 @@ from .scramble import (
     hitting_number,
     hitting_search,
     make_scramble,
-    minimum_hitting_set,
     parse_scramble,
     scramble_order,
     uniform_egg_cut_number,

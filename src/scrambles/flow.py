@@ -1,5 +1,7 @@
 """Minimum edge cuts between two disjoint vertex sets via
-shortest-augmenting-path max flow."""
+shortest-augmenting-path max flow: ``min_edge_cut`` between two
+vertices, and ``_max_flow`` between whole eggs for the direct side of
+``verify order-ek``."""
 
 from .graphs import _bits
 
@@ -58,7 +60,7 @@ def _max_flow(G, source_mask, sink_mask, limit=None):
     return flow
 
 
-def min_edge_cut(G, u, v, limit=None):
+def min_edge_cut(G, u, v):
     """Fewest edges (with multiplicity) whose removal separates u from v."""
     G._check_vertex(u)
     G._check_vertex(v)
@@ -66,18 +68,4 @@ def min_edge_cut(G, u, v, limit=None):
         raise ValueError("endpoints must differ")
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    return _max_flow(G, 1 << u, 1 << v, limit)
-
-
-def min_separating_cut(G, side_a, side_b, limit=None):
-    """Fewest edges whose removal leaves the two given connected sets in
-    different components; the sets must be disjoint."""
-    a = G._vertex_mask(side_a)
-    b = G._vertex_mask(side_b)
-    if a & b:
-        raise ValueError("sets must be disjoint")
-    if not a or not b:
-        raise ValueError("sets must be nonempty")
-    if not G._mask_connected(a) or not G._mask_connected(b):
-        raise ValueError("sets must induce connected subgraphs")
-    return _max_flow(G, a, b, limit)
+    return _max_flow(G, 1 << u, 1 << v)

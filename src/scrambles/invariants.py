@@ -142,12 +142,6 @@ def min_connected_outdegree(G, k):
     return min(map(G._outdegree_mask, subsets))
 
 
-def is_lambda_k_optimal(G, k):
-    """Whether the k-restricted edge connectivity is realised by the
-    edges around a single connected k-set."""
-    return restricted_edge_connectivity(G, k) == min_connected_outdegree(G, k)
-
-
 def max_component_independent_set(G, limit, floor=None, tick=None):
     """Largest vertex set whose induced components all have at most
     ``limit`` vertices, by branch and bound over vertex inclusion.
@@ -254,10 +248,6 @@ def component_independence_number(G, limit):
 
 def independence_number(G):
     return component_independence_number(G, 1)
-
-
-def dissociation_number(G):
-    return component_independence_number(G, 2)
 
 
 def compute_invariant(G, kind, parameter=0):

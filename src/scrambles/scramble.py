@@ -102,12 +102,7 @@ def _checked_masks(G, rows, replay, mask_of, disconnected):
 def make_scramble(G, eggs):
     """Validate eggs against G (nonempty, in range, connected) and build
     the canonical scramble; a fault is reported at the first faulty egg."""
-    held = []
-
-    def rows():
-        for egg in eggs:
-            held.append(egg)
-            yield egg
+    eggs = list(eggs)
 
     def mask_of(egg):
         mask = G._vertex_mask(egg)
@@ -118,7 +113,7 @@ def make_scramble(G, eggs):
     def disconnected(egg):
         return ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
 
-    return _canonical(G, _checked_masks(G, rows(), lambda: held, mask_of, disconnected))
+    return _canonical(G, _checked_masks(G, eggs, lambda: eggs, mask_of, disconnected))
 
 
 def uniform_scramble(G, k):
@@ -463,11 +458,6 @@ def hitting_search(S, target=None, budget=None, progress=None):
 def hitting_number(S):
     """Smallest number of vertices meeting every egg."""
     return hitting_search(S).optimum
-
-
-def minimum_hitting_set(S):
-    """A smallest vertex set meeting every egg."""
-    return hitting_search(S).witness
 
 
 # -- egg cuts and orders -------------------------------------------------

@@ -10,6 +10,8 @@ from scrambles import (
     DivisorFileError,
     GonalityResult,
     Multigraph,
+    SeparatorBound,
+    StrongSeparatorReport,
     check_strong_separator,
     chipfiring,
     complete_bipartite,
@@ -357,6 +359,7 @@ class TestGonality:
 class TestStrongSeparators:
     def test_square_diagonal_is_valid(self):
         report = check_strong_separator(cycle_graph(4), {0, 2})
+        assert isinstance(report, StrongSeparatorReport)
         assert report.valid
         assert report.violating_component is None
 
@@ -390,6 +393,7 @@ class TestStrongSeparators:
 
     def test_herschel_bound(self):
         bound = gonality_upper_by_separator(herschel_graph())
+        assert isinstance(bound, SeparatorBound)
         assert bound.size == 5
         assert bound.separator == {2, 3, 4, 5, 10}
 

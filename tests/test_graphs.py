@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from scrambles import (
     INF,
+    DivisorFileError,
     EdgeListError,
+    InputFormatError,
     Multigraph,
+    ScrambleFileError,
     complete_bipartite,
     complete_graph,
     count_to_json,
@@ -184,6 +187,11 @@ class TestParsing:
             parse_edge_list("3\n")
         with pytest.raises(EdgeListError, match="header"):
             parse_edge_list("a b\n")
+
+    def test_file_errors_are_input_format_errors(self):
+        # the CLI turns every InputFormatError into exit code 2
+        for error in (EdgeListError, ScrambleFileError, DivisorFileError):
+            assert issubclass(error, InputFormatError)
 
     def test_wrong_edge_counts(self):
         with pytest.raises(EdgeListError, match="found 1"):

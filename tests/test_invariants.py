@@ -16,14 +16,12 @@ from scrambles import (
     component_independence_number,
     compute_invariant,
     cycle_graph,
-    dissociation_number,
     egg_cut_number,
     folded_cube,
     herschel_graph,
     hitting_number,
     hypercube,
     independence_number,
-    is_lambda_k_optimal,
     max_component_independent_set,
     min_connected_outdegree,
     path_graph,
@@ -110,12 +108,15 @@ class TestConnectedOutdegree:
         assert min_connected_outdegree(Multigraph(4, [(0, 1), (2, 3)]), 3) == INF
 
     def test_herschel_is_lambda3_optimal(self):
-        assert is_lambda_k_optimal(herschel_graph(), 3)
+        # lambda_3 is realised by the edges around one connected 3-set
+        H = herschel_graph()
+        assert restricted_edge_connectivity(H, 3) == min_connected_outdegree(H, 3)
 
     def test_cycle_not_lambda2_suboptimal(self):
         # both sides of any 2-restricted cut of C_6 are arcs, so the
         # outdegree of a connected pair already achieves lambda_2
-        assert is_lambda_k_optimal(cycle_graph(6), 2)
+        C6 = cycle_graph(6)
+        assert restricted_edge_connectivity(C6, 2) == min_connected_outdegree(C6, 2)
 
     @given(connected_multigraphs(max_n=7), st.data())
     @settings(deadline=None)
@@ -147,12 +148,12 @@ class TestComponentIndependence:
     def test_herschel_values(self):
         H = herschel_graph()
         assert independence_number(H) == 6
-        assert dissociation_number(H) == 6
+        assert component_independence_number(H, 2) == 6
 
     def test_complete_bipartite(self):
         G = complete_bipartite(3, 3)
         assert independence_number(G) == 3
-        assert dissociation_number(G) == 3
+        assert component_independence_number(G, 2) == 3
 
     def test_whole_graph_when_limit_reaches_n(self):
         G = cycle_graph(5)

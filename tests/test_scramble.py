@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from scrambles import (
     INF,
+    HittingSearchResult,
     Multigraph,
     ScrambleFileError,
     complete_graph,
@@ -26,7 +27,6 @@ from scrambles import (
     hypercube,
     invariants,
     make_scramble,
-    minimum_hitting_set,
     parse_scramble,
     path_graph,
     restricted_edge_connectivity,
@@ -252,7 +252,7 @@ class TestBatchedConnectivity:
         assert not isinstance(info.value, ScrambleFileError)
         with pytest.raises(ValueError, match="vertex 9 out of range"):
             make_scramble(cycle_graph(4), [{0, 1}, {9}, {0, 2}])
-        # a one-shot iterable is read again from the eggs it has given
+        # a one-shot iterable is read once; the replay reads the same eggs
         with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce"):
             make_scramble(cycle_graph(4), iter([{0, 1}, {0, 2}, set()]))
 
@@ -265,7 +265,7 @@ class TestHitting:
     def test_single_egg_needs_one(self):
         S = make_scramble(path_graph(4), [{1, 2}])
         assert hitting_number(S) == 1
-        assert minimum_hitting_set(S) <= {1, 2}
+        assert hitting_search(S).witness <= {1, 2}
 
     def test_singletons_need_everything(self):
         G = cycle_graph(5)
@@ -280,7 +280,7 @@ class TestHitting:
 
     def test_witness_hits_everything(self):
         S = uniform_scramble(hypercube(3), 2)
-        witness = minimum_hitting_set(S)
+        witness = hitting_search(S).witness
         assert len(witness) == 4
         assert all(witness & egg for egg in S.eggs)
 
@@ -295,6 +295,7 @@ class TestHitting:
         # triangle edges all overlap, so packing gives 1 and the
         # decision levels must run
         result = hitting_search(uniform_scramble(complete_graph(3), 2))
+        assert isinstance(result, HittingSearchResult)
         assert result.complete
         assert result.optimum == result.proved_lower == 2
         assert result.elapsed >= 0
@@ -366,7 +367,7 @@ class TestHitting:
     def test_matches_exhaustive_oracle(self, S):
         got = hitting_number(S)
         assert got == oracles.hitting_exhaustive(S.graph.n, S.eggs)
-        witness = minimum_hitting_set(S)
+        witness = hitting_search(S).witness
         assert len(witness) == got
         assert all(witness & egg for egg in S.eggs)
 

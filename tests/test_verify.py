@@ -5,8 +5,12 @@ import json
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from scrambles import (
     INF,
+    CrossCheck,
+    HypothesisCheck,
+    TheoremReport,
     Multigraph,
     complete_bipartite,
     complete_graph,
@@ -29,12 +33,15 @@ from scrambles import (
     verify_order_ek,
 )
 from scrambles.verify import _gonality_cross_check
-from strategies import simple_connected_graphs
+from strategies import connected_multigraphs, plain_edges, simple_connected_graphs
 
 
 class TestMain:
     def test_herschel_at_4(self):
         report = verify_main(herschel_graph(), 4)
+        assert isinstance(report, TheoremReport)
+        assert all(isinstance(check, HypothesisCheck) for check in report.hypotheses)
+        assert isinstance(report.cross_check, CrossCheck)
         assert report.applicable
         assert report.conclusion_value == 5
         assert report.upper_bound == 5
@@ -277,6 +284,19 @@ class TestOrderEk:
     def test_k_range_checked(self):
         with pytest.raises(ValueError, match="out of range"):
             verify_order_ek(cycle_graph(5), 6)
+
+    @given(connected_multigraphs(max_n=7))
+    @settings(deadline=None)
+    def test_direct_side_matches_exhaustive_oracles(self, G):
+        # every transversal and every bipartition, by enumeration: no code
+        # shared with the pair scan or with the split search
+        n, edges = plain_edges(G)
+        for k in range(1, n + 1):
+            eggs = oracles.connected_ksubsets(n, edges, k)
+            order = min(
+                oracles.hitting_exhaustive(n, eggs), oracles.egg_cut_bipartition(n, edges, eggs)
+            )
+            assert verify_order_ek(G, k).conclusion_value[0] == order
 
     def test_direct_side_does_not_run_the_split_engine(self, monkeypatch):
         # a wrong split search reaches lambda_k and the egg-level cut

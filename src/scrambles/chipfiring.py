@@ -76,11 +76,17 @@ def _bfs_order(G, q):
     return order
 
 
-def _burn(adj, chips, q):
+def _burn(pairs, chips, q):
     """Dhar's burning process: start a fire at q; a vertex burns once its
-    edges to burnt vertices outnumber its chips.  Returns the burnt
-    flags, each vertex's edge count into the burnt set, and how many
-    vertices burnt."""
+    edges to burnt vertices outnumber its chips.  ``pairs[v]`` holds v's
+    ``(neighbour, multiplicity)`` pairs.  Returns the burnt flags, each
+    vertex's edge count into the burnt set, and how many vertices burnt.
+
+    The burn returns as soon as all n vertices have burnt, leaving the
+    counts of the edges not yet scanned out of ``incoming``.  No caller
+    reads ``incoming`` then: it is read only for the vertices that
+    survive, to fire them, and here none does.
+    """
     n = len(chips)
     burnt = [False] * n
     burnt[q] = True
@@ -88,18 +94,20 @@ def _burn(adj, chips, q):
     stack = [q]
     count = 1
     while stack:
-        u = stack.pop()
-        for w, m in adj[u].items():
+        for w, m in pairs[stack.pop()]:
             if not burnt[w]:
-                incoming[w] += m
-                if incoming[w] > chips[w]:
+                heat = incoming[w] + m
+                incoming[w] = heat
+                if heat > chips[w]:
                     burnt[w] = True
-                    stack.append(w)
                     count += 1
+                    if count == n:
+                        return burnt, incoming, count
+                    stack.append(w)
     return burnt, incoming, count
 
 
-def _reduce_along(G, D, q, order):
+def _reduce_along(pairs, D, q, order):
     """q-reduction given a BFS order starting at q.
 
     Debt clearing walks the order outside-in: a vertex in debt is paid by
@@ -113,8 +121,7 @@ def _reduce_along(G, D, q, order):
     member can pay for, since each of those firings is legal on its own.
     The fixpoint where everything burns is the canonical representative.
     """
-    n = G.n
-    adj = G._adj
+    n = len(D)
     chips = list(D)
     pos = [0] * n
     for i, v in enumerate(order):
@@ -124,23 +131,23 @@ def _reduce_along(G, D, q, order):
         v = order[i]
         if chips[v] >= 0:
             continue
-        gain = sum(m for w, m in adj[v].items() if pos[w] < i)
+        gain = sum(m for w, m in pairs[v] if pos[w] < i)
         rounds = (-chips[v] + gain - 1) // gain
         for j in range(i):
             u = order[j]
-            for w, m in adj[u].items():
+            for w, m in pairs[u]:
                 if pos[w] >= i:
                     chips[u] -= rounds * m
                     chips[w] += rounds * m
 
     while True:
-        burnt, incoming, burnt_count = _burn(adj, chips, q)
+        burnt, incoming, burnt_count = _burn(pairs, chips, q)
         if burnt_count == n:
             return tuple(chips)
-        _fire_unburnt(adj, chips, burnt, incoming)
+        _fire_unburnt(pairs, chips, burnt, incoming)
 
 
-def _fire_unburnt(adj, chips, burnt, incoming):
+def _fire_unburnt(pairs, chips, burnt, incoming):
     """Fire the set that survived a burn, in place, as many times at
     once as every member can pay for."""
     n = len(chips)
@@ -150,12 +157,12 @@ def _fire_unburnt(adj, chips, burnt, incoming):
     for v in range(n):
         if not burnt[v] and incoming[v]:
             chips[v] -= times * incoming[v]
-            for w, m in adj[v].items():
+            for w, m in pairs[v]:
                 if burnt[w]:
                     chips[w] += times * m
 
 
-def _keeps_chip(adj, D, q):
+def _keeps_chip(pairs, D, q):
     """Whether the q-reduced form of the effective divisor D holds a
     chip on q.
 
@@ -167,12 +174,12 @@ def _keeps_chip(adj, D, q):
     chips = D
     n = len(D)
     while chips[q] < 1:
-        burnt, incoming, burnt_count = _burn(adj, chips, q)
+        burnt, incoming, burnt_count = _burn(pairs, chips, q)
         if burnt_count == n:
             return False
         if chips is D:
             chips = list(D)
-        _fire_unburnt(adj, chips, burnt, incoming)
+        _fire_unburnt(pairs, chips, burnt, incoming)
     return True
 
 
@@ -183,7 +190,7 @@ def q_reduce(G, D, q):
     G._check_vertex(q)
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    return _reduce_along(G, D, q, _bfs_order(G, q))
+    return _reduce_along(G._pairs(), D, q, _bfs_order(G, q))
 
 
 def is_equivalent(G, D1, D2):
@@ -194,8 +201,8 @@ def is_equivalent(G, D1, D2):
         raise ValueError("graph must be connected")
     if sum(D1) != sum(D2):
         return False
-    order = _bfs_order(G, 0)
-    return _reduce_along(G, D1, 0, order) == _reduce_along(G, D2, 0, order)
+    pairs, order = G._pairs(), _bfs_order(G, 0)
+    return _reduce_along(pairs, D1, 0, order) == _reduce_along(pairs, D2, 0, order)
 
 
 def has_positive_rank(G, D):
@@ -211,8 +218,9 @@ def has_positive_rank(G, D):
         raise ValueError("graph must be connected")
     if sum(D) < 0:
         return False
-    D0 = _reduce_along(G, D, 0, _bfs_order(G, 0))
-    return D0[0] >= 1 and all(_keeps_chip(G._adj, D0, q) for q in range(1, G.n))
+    pairs = G._pairs()
+    D0 = _reduce_along(pairs, D, 0, _bfs_order(G, 0))
+    return D0[0] >= 1 and all(_keeps_chip(pairs, D0, q) for q in range(1, G.n))
 
 
 # -- gonality ------------------------------------------------------------
@@ -234,12 +242,14 @@ class GonalityResult:
     superstable_burns: int = field(compare=False)
 
 
-def _refusing_vertex(adj, D, first):
+def _refusing_vertex(pairs, D, first):
     """A vertex whose reduced form of the effective divisor D holds no
-    chip, trying ``first`` before the rest; None when D has positive
-    rank."""
-    for q in (first, *range(first), *range(first + 1, len(D))):
-        if not _keeps_chip(adj, D, q):
+    chip, trying ``first`` before the rest in order; None when D has
+    positive rank."""
+    if not _keeps_chip(pairs, D, first):
+        return first
+    for q in range(len(D)):
+        if q != first and not _keeps_chip(pairs, D, q):
             return q
     return None
 
@@ -280,7 +290,7 @@ def gonality_bruteforce(G, max_degree=None):
     cap = n if max_degree is None else max_degree
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
-    adj = G._adj
+    pairs = G._pairs()
     chips = [0] * n
     best = cap + 1
     witness = None
@@ -290,7 +300,7 @@ def gonality_bruteforce(G, max_degree=None):
     for j in range(1, cap + 1):
         chips[0] = j
         rank_tests += 1
-        q = _refusing_vertex(adj, chips, refused)
+        q = _refusing_vertex(pairs, chips, refused)
         if q is None:
             best, witness = j, tuple(chips)
             break
@@ -313,7 +323,7 @@ def gonality_bruteforce(G, max_degree=None):
     def superstable():
         nonlocal burns
         burns += 1
-        return _burn(adj, chips, 0)[2] == n
+        return _burn(pairs, chips, 0)[2] == n
 
     if best > 2:
         lam = restricted_edge_connectivity(G, 1)
@@ -324,7 +334,7 @@ def gonality_bruteforce(G, max_degree=None):
             while j >= 1:
                 c[0] = j
                 rank_tests += 1
-                q = _refusing_vertex(adj, c, refused)
+                q = _refusing_vertex(pairs, c, refused)
                 if q is not None:
                     refused = q
                     break

@@ -157,6 +157,11 @@ class Multigraph:
         if not 1 <= k <= self.n:
             raise ValueError(f"subset size {k} out of range for {self.n} vertices")
 
+    def _pairs(self):
+        """Each vertex's ``(neighbour, multiplicity)`` pairs as a tuple,
+        the form the hot loops of the searches iterate; built per call."""
+        return [tuple(d.items()) for d in self._adj]
+
     def _vertex_mask(self, subset):
         mask = 0
         for v in subset:

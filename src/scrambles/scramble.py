@@ -376,7 +376,7 @@ def _sliced_argmin(slices, eggs):
     return (eggs & -eggs).bit_length() - 1
 
 
-def hitting_search(S, target=None, budget=None, progress=None):
+def hitting_search(S, target=None, budget=None, progress=None, *, egg_sets=None):
     """Prove lower bounds on the hitting number until the optimum is
     found, ``target`` is reached, or ``budget`` seconds run out.
 
@@ -393,9 +393,10 @@ def hitting_search(S, target=None, budget=None, progress=None):
     found in one pass over the slices.
 
     ``budget`` is None or a number of seconds >= 0 (inf included).
+    ``egg_sets`` is ``_egg_sets(S)`` when the caller has built it.
     """
     _check_budget(budget)
-    inc, every, outside = _egg_sets(S)
+    inc, every, outside = _egg_sets(S) if egg_sets is None else egg_sets
     search = _Deepening(budget, progress)
     tick = search.tick
     masks = S.masks
@@ -502,7 +503,7 @@ def has_finite_egg_cut(S):
     return True, tuple(frozenset(_bits(mask)) for mask in pair)
 
 
-def egg_cut_number(S):
+def egg_cut_number(S, *, egg_sets=None):
     """Minimum edges crossing any split that leaves whole eggs on both
     sides; INF when no two eggs are disjoint.
 
@@ -517,10 +518,11 @@ def egg_cut_number(S):
     settled first: by pigeonhole when twice the smallest egg exceeds n
     (two eggs then hold more vertices than G, so they meet), else by a
     scan for two disjoint eggs.  The leaf test assumes connected eggs,
-    which ``Scramble`` does not check.
+    which ``Scramble`` does not check.  ``egg_sets`` is ``_egg_sets(S)``
+    when the caller has built it.
     """
     G = S.graph
-    inc, every, out = _egg_sets(S)
+    inc, every, out = _egg_sets(S) if egg_sets is None else egg_sets
     full = (1 << G.n) - 1
     home = G._component_of((S.masks[0] & -S.masks[0]).bit_length() - 1, full)
     if any(inc[v] for v in _bits(full ^ home)):
@@ -530,16 +532,18 @@ def egg_cut_number(S):
     return invariants._min_split(G, home, out=out, every=every)
 
 
-def _order_with_cut(S, e):
+def _order_with_cut(S, e, egg_sets=None):
     """min(hitting number, e), the hitting search stopping once e is a
     proven bound."""
-    optimum = hitting_search(S, target=None if e == INF else e).optimum
+    optimum = hitting_search(S, target=None if e == INF else e, egg_sets=egg_sets).optimum
     return e if optimum is None else min(optimum, e)
 
 
 def scramble_order(S):
-    """min(hitting number, egg-cut number), both computed from the eggs."""
-    return _order_with_cut(S, egg_cut_number(S))
+    """min(hitting number, egg-cut number), both computed from the eggs,
+    whose incidence is built once for the two."""
+    egg_sets = _egg_sets(S)
+    return _order_with_cut(S, egg_cut_number(S, egg_sets=egg_sets), egg_sets)
 
 
 # -- uniform scrambles from graph invariants ------------------------------

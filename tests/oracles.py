@@ -377,20 +377,31 @@ def q_reduce_dhar(n, edges, D, q):
         far = max(dist[v] for v in debtors)
         D = fire_set(edges, D, {v for v in range(n) if dist[v] < far})
     while True:
-        burnt = {q}
-        grew = True
-        while grew:
-            grew = False
-            for v in range(n):
-                if v in burnt:
-                    continue
-                heat = sum(1 for a, b in edges if (a == v and b in burnt) or (b == v and a in burnt))
-                if heat > D[v]:
-                    burnt.add(v)
-                    grew = True
+        burnt = dhar_burnt(n, edges, D, q)
         if len(burnt) == n:
             return tuple(D)
         D = fire_set(edges, D, set(range(n)) - burnt)
+
+
+def heat_into(edges, v, burnt):
+    """Edges between v and the set ``burnt``, one per parallel edge."""
+    return sum(1 for a, b in edges if (a == v and b in burnt) or (b == v and a in burnt))
+
+
+def dhar_burnt(n, edges, D, q):
+    """The set Dhar's fire from q burns, as a fixpoint: sweep every
+    unburnt vertex, burn it once its edges into the burnt set outnumber
+    its chips, and stop when a sweep burns nothing.  D is non-negative
+    away from q."""
+    burnt = {q}
+    grew = True
+    while grew:
+        grew = False
+        for v in range(n):
+            if v not in burnt and heat_into(edges, v, burnt) > D[v]:
+                burnt.add(v)
+                grew = True
+    return burnt
 
 
 def has_positive_rank_dhar(n, edges, D):

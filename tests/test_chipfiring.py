@@ -42,6 +42,16 @@ def graph_and_divisor(draw, max_n=6, low=-3, high=4):
     return G, D
 
 
+@st.composite
+def graphs_with_parallel_edges(draw, max_n=7):
+    """A connected multigraph with one to three more copies of its edges,
+    so that some vertex may burn only by an edge's multiplicity."""
+    G = draw(connected_multigraphs(max_n=max_n))
+    edges = G.edge_list()
+    edges += draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3))
+    return Multigraph(G.n, edges)
+
+
 class TestFiring:
     def test_fire_vertex_triangle(self):
         G = complete_graph(3)
@@ -165,6 +175,33 @@ class TestReduction:
         assert oracles.divisors_equivalent(n, edges, D, q_reduce(G, D, q))
 
 
+class TestBurn:
+    def test_multiplicity_burns_what_one_edge_cannot(self):
+        # vertex 1 holds a chip against a double edge to the fire, vertex 2
+        # one chip against a single edge
+        G = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+        burnt, incoming, count = chipfiring._burn(G._pairs(), (0, 1, 1), 0)
+        assert burnt == [True, True, False]
+        assert count == 2
+        assert incoming[2] == 1
+
+    @given(graphs_with_parallel_edges(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_fixpoint_oracle(self, G, data):
+        q = data.draw(st.integers(0, G.n - 1))
+        chips = data.draw(divisors_for(G.n, 0, 4))
+        n, edges = plain_edges(G)
+        want = oracles.dhar_burnt(n, edges, chips, q)
+        burnt, incoming, count = chipfiring._burn(G._pairs(), chips, q)
+        assert (count == n) == (len(want) == n)
+        if count < n:
+            # all burnt may stop early; a surviving set is read in full
+            assert {v for v in range(n) if burnt[v]} == want
+            assert count == len(want)
+            for v in set(range(n)) - want:
+                assert incoming[v] == oracles.heat_into(edges, v, want)
+
+
 class TestEquivalence:
     def test_unequal_degrees_never_equivalent(self):
         G = cycle_graph(4)
@@ -227,7 +264,7 @@ class TestPositiveRank:
     def test_early_exit_rank_test_matches_dhar_oracle(self, pair):
         # D is tested as drawn, not 0-reduced first, so sets fire
         G, D = pair
-        keeps = all(chipfiring._keeps_chip(G._adj, D, q) for q in range(G.n))
+        keeps = all(chipfiring._keeps_chip(G._pairs(), D, q) for q in range(G.n))
         assert keeps == oracles.has_positive_rank_dhar(*plain_edges(G), D)
 
 

@@ -590,6 +590,19 @@ class TestOrder:
         S = uniform_scramble(complete_graph(3), 2)
         assert scramble_order(S) == 2
 
+    def test_incidence_built_once(self, monkeypatch):
+        builds = []
+        original = scramble._incidence
+
+        def recording(masks, n):
+            builds.append(len(masks))
+            return original(masks, n)
+
+        monkeypatch.setattr(scramble, "_incidence", recording)
+        S = uniform_scramble(hypercube(3), 2)
+        assert scramble_order(S) == 4
+        assert builds == [len(S.masks)]
+
     @given(scrambles_on())
     @settings(deadline=None, max_examples=40)
     def test_is_min_of_hitting_and_cut(self, S):

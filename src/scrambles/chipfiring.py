@@ -31,7 +31,7 @@ def fire_vertex(G, D, v):
     G._check_vertex(v)
     _check_divisor(G, D)
     out = list(D)
-    for w, m in G._adj[v].items():
+    for w, m in G._pairs[v]:
         out[v] -= m
         out[w] += m
     return tuple(out)
@@ -48,7 +48,7 @@ def fire_subset(G, D, subset):
         raise ValueError("subset must be proper")
     out = list(D)
     for v in _bits(mask):
-        for w, m in G._adj[v].items():
+        for w, m in G._pairs[v]:
             if not mask >> w & 1:
                 out[v] -= m
                 out[w] += m
@@ -60,20 +60,7 @@ def fire_subset(G, D, subset):
 
 def _bfs_order(G, q):
     """Vertices by BFS layer from q, ascending index inside a layer."""
-    order = [q]
-    seen = {q}
-    queue = [q]
-    while queue:
-        nxt = []
-        for a in queue:
-            for b in G._adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        nxt.sort()
-        order.extend(nxt)
-        queue = nxt
-    return order
+    return [v for layer in G._layers(q) for v in _bits(layer)]
 
 
 def _burn(pairs, chips, q):
@@ -190,7 +177,7 @@ def q_reduce(G, D, q):
     G._check_vertex(q)
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    return _reduce_along(G._pairs(), D, q, _bfs_order(G, q))
+    return _reduce_along(G._pairs, D, q, _bfs_order(G, q))
 
 
 def is_equivalent(G, D1, D2):
@@ -201,7 +188,7 @@ def is_equivalent(G, D1, D2):
         raise ValueError("graph must be connected")
     if sum(D1) != sum(D2):
         return False
-    pairs, order = G._pairs(), _bfs_order(G, 0)
+    pairs, order = G._pairs, _bfs_order(G, 0)
     return _reduce_along(pairs, D1, 0, order) == _reduce_along(pairs, D2, 0, order)
 
 
@@ -218,7 +205,7 @@ def has_positive_rank(G, D):
         raise ValueError("graph must be connected")
     if sum(D) < 0:
         return False
-    pairs = G._pairs()
+    pairs = G._pairs
     D0 = _reduce_along(pairs, D, 0, _bfs_order(G, 0))
     return D0[0] >= 1 and all(_keeps_chip(pairs, D0, q) for q in range(1, G.n))
 
@@ -290,7 +277,7 @@ def gonality_bruteforce(G, max_degree=None):
     cap = n if max_degree is None else max_degree
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
-    pairs = G._pairs()
+    pairs = G._pairs
     chips = [0] * n
     best = cap + 1
     witness = None
@@ -372,12 +359,12 @@ def check_strong_separator(G, subset):
     rest = [v for v in range(G.n) if v not in sep]
     for comp in G.connected_components(rest):
         internal = sum(
-            m for v in comp for w, m in G._adj[v].items() if w in comp and v < w
+            m for v in comp for w, m in G._pairs[v] if w in comp and v < w
         )
         if internal != len(comp) - 1:
             return StrongSeparatorReport(sep, False, comp)
         for v in sorted(sep):
-            into = sum(m for w, m in G._adj[v].items() if w in comp)
+            into = sum(m for w, m in G._pairs[v] if w in comp)
             if into > 1:
                 return StrongSeparatorReport(sep, False, comp)
     return StrongSeparatorReport(sep, True, None)

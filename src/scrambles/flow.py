@@ -19,7 +19,7 @@ def _max_flow(G, source_mask, sink_mask, limit=None):
     otherwise.
     """
     n = G.n
-    residual = [dict(d) for d in G._adj]
+    residual = [dict(pairs) for pairs in G._pairs]
     sources = list(_bits(source_mask))
     flow = 0
     while limit is None or flow < limit:

@@ -71,12 +71,14 @@ class Multigraph:
     """Undirected multigraph with integer edge multiplicities.
 
     Built from an iterable of endpoint pairs; repeating a pair raises its
-    multiplicity.  Adjacency is stored per vertex as a dict from
-    neighbour to multiplicity with keys in ascending order, so every
-    iteration over the graph is deterministic.
+    multiplicity.  Adjacency is stored once per vertex in two forms,
+    each read by the loops it suits: ``_pairs[v]``, a tuple of
+    ``(neighbour, multiplicity)`` pairs in ascending neighbour order, and
+    ``_mask[v]``, the bitmask of v's neighbours.  Every iteration over
+    the graph is deterministic.
     """
 
-    __slots__ = ("n", "_adj", "_mask", "_val", "_edge_count")
+    __slots__ = ("n", "_pairs", "_mask", "_val", "_edge_count")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -91,9 +93,9 @@ class Multigraph:
             adj[u][v] = adj[u].get(v, 0) + 1
             adj[v][u] = adj[v].get(u, 0) + 1
         self.n = n
-        self._adj = [dict(sorted(d.items())) for d in adj]
-        self._mask = [sum(1 << w for w in d) for d in self._adj]
-        self._val = tuple(sum(d.values()) for d in self._adj)
+        self._pairs = tuple(tuple(sorted(d.items())) for d in adj)
+        self._mask = [sum(1 << w for w in d) for d in adj]
+        self._val = tuple(sum(d.values()) for d in adj)
         self._edge_count = sum(self._val) // 2
 
     # -- basic queries -------------------------------------------------
@@ -107,12 +109,12 @@ class Multigraph:
         """Multiplicity of the edge class between u and v (0 if absent)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        return self._adj[u].get(v, 0)
+        return next((m for w, m in self._pairs[u] if w == v), 0)
 
     def neighbors(self, v):
         """Neighbours of v in ascending order."""
         self._check_vertex(v)
-        return tuple(self._adj[v])
+        return tuple(_bits(self._mask[v]))
 
     def valence(self, v):
         """Number of edge endpoints at v, counting multiplicity."""
@@ -126,8 +128,8 @@ class Multigraph:
 
     def edges(self):
         """Yield (u, v, multiplicity) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v, m in self._adj[u].items():
+        for u, pairs in enumerate(self._pairs):
+            for v, m in pairs:
                 if u < v:
                     yield u, v, m
 
@@ -144,7 +146,7 @@ class Multigraph:
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._pairs == other._pairs
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, m={self.edge_count})"
@@ -156,11 +158,6 @@ class Multigraph:
     def _check_subset_size(self, k):
         if not 1 <= k <= self.n:
             raise ValueError(f"subset size {k} out of range for {self.n} vertices")
-
-    def _pairs(self):
-        """Each vertex's ``(neighbour, multiplicity)`` pairs as a tuple,
-        the form the hot loops of the searches iterate; built per call."""
-        return [tuple(d.items()) for d in self._adj]
 
     def _vertex_mask(self, subset):
         mask = 0
@@ -182,6 +179,19 @@ class Multigraph:
             frontier = grown & within_mask & ~comp
             comp |= frontier
         return comp
+
+    def _layers(self, start):
+        """Breadth-first layers from ``start`` as bitmasks: ``start``
+        alone, then each set of vertices one step further, until its
+        component is exhausted."""
+        seen = layer = 1 << start
+        while layer:
+            yield layer
+            grown = 0
+            for v in _bits(layer):
+                grown |= self._mask[v]
+            layer = grown & ~seen
+            seen |= layer
 
     def _mask_connected(self, mask):
         if mask == 0:
@@ -224,7 +234,7 @@ class Multigraph:
     def _outdegree_mask(self, mask):
         total = 0
         for v in _bits(mask):
-            for w, m in self._adj[v].items():
+            for w, m in self._pairs[v]:
                 if not mask >> w & 1:
                     total += m
         return total
@@ -262,48 +272,42 @@ class Multigraph:
         return best
 
     def _dist_avoiding(self, s, t):
-        """BFS distance from s to t ignoring the edge class {s, t}."""
-        dist = {s: 0}
-        queue = [s]
-        while queue:
-            nxt = []
-            for a in queue:
-                for b in self._adj[a]:
-                    if a == s and b == t:
-                        continue
-                    if b not in dist:
-                        dist[b] = dist[a] + 1
-                        if b == t:
-                            return dist[b]
-                        nxt.append(b)
-            queue = nxt
-        return dist.get(t)
+        """BFS distance from s to t ignoring the edge class {s, t}, or
+        None when t is out of reach; the layers are bitmasks."""
+        target = 1 << t
+        seen = 1 << s
+        layer = self._mask[s] & ~target
+        dist = 1
+        while layer:
+            seen |= layer
+            grown = 0
+            for v in _bits(layer):
+                grown |= self._mask[v]
+            dist += 1
+            if grown & target:
+                return dist
+            layer = grown & ~seen
+        return None
 
     def bipartition(self):
         """Two-colouring as a pair of frozensets, or None on an odd cycle.
 
-        Each component is coloured with its smallest vertex on the first
-        side, so the result is deterministic.
+        Each component is coloured by the parity of its breadth-first
+        layers from its smallest vertex, which lands on the first side,
+        so the result is deterministic.  The colouring is proper iff no
+        edge joins two vertices of one side.
         """
-        color = [None] * self.n
-        for root in range(self.n):
-            if color[root] is not None:
-                continue
-            color[root] = 0
-            queue = [root]
-            while queue:
-                nxt = []
-                for a in queue:
-                    for b in self._adj[a]:
-                        if color[b] is None:
-                            color[b] = 1 - color[a]
-                            nxt.append(b)
-                        elif color[b] == color[a]:
-                            return None
-                queue = nxt
-        side0 = frozenset(v for v in range(self.n) if color[v] == 0)
-        side1 = frozenset(range(self.n)) - side0
-        return side0, side1
+        sides = [0, 0]
+        remaining = (1 << self.n) - 1
+        while remaining:
+            start = (remaining & -remaining).bit_length() - 1
+            for depth, layer in enumerate(self._layers(start)):
+                sides[depth & 1] |= layer
+                remaining ^= layer
+        for side in sides:
+            if any(self._mask[v] & side for v in _bits(side)):
+                return None
+        return frozenset(_bits(sides[0])), frozenset(_bits(sides[1]))
 
 
 # -- connected subset enumeration --------------------------------------

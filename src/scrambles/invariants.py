@@ -55,7 +55,7 @@ def _min_split(G, within, k=0, out=None, every=0):
         return INF
     root = (within & -within).bit_length() - 1
     nbr = G._mask
-    adj = G._pairs()
+    adj = G._pairs
     into_s = [0] * G.n  # edges from each vertex into S
     into_x = [0] * G.n  # edges from each vertex into X
     best = INF

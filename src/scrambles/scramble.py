@@ -7,17 +7,18 @@ the derived ``Scramble.eggs``).
 
 The egg-level engines serve explicit scrambles.  Both work on a
 transposed incidence (for each vertex, the bitmask of the eggs
-containing it).  The hitting search deepens on the answer, so a run cut
-short by a time budget still ends with a proven lower bound.  The egg
-cut is the split search behind lambda_k (``invariants._min_split``)
-with an egg test in place of its size test.  The uniform k-scramble
-(every connected k-set) takes its numbers from graph invariants
-instead, on any graph: its hitting number is n - alpha_{k-1}, and its
-egg-cut number is lambda_k of the one component holding k vertices (0
-when two do), so no egg is built there.  Its budgeted hitting search
-deepens too, asking at each size s whether alpha_{k-1} exceeds
-n - s - 1; both deepening searches share one node counter, deadline and
-progress line (``_Deepening``).
+containing it), which a ``Scramble`` builds on first use and keeps.
+The hitting search deepens on the answer, so a run cut short by a time
+budget still ends with a proven lower bound.  The egg cut is the split
+search behind lambda_k (``invariants._min_split``) with an egg test in
+place of its size test.  The uniform k-scramble (every connected
+k-set) takes its numbers from graph invariants instead, on any graph:
+its hitting number is n - alpha_{k-1}, and its egg-cut number is
+lambda_k of the one component holding k vertices (0 when two do), so
+no egg is built there.  Its budgeted hitting search deepens too,
+asking at each size s whether alpha_{k-1} exceeds n - s - 1; both
+deepening searches share one node counter, deadline and progress line
+(``_Deepening``).
 
 Eggs read from a file or handed to ``make_scramble`` are checked
 connected all at once, by a search that spreads over the same
@@ -28,6 +29,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     INF,
@@ -59,6 +61,24 @@ class Scramble:
     @property
     def eggs(self):
         return tuple(frozenset(_bits(mask)) for mask in self.masks)
+
+    @cached_property
+    def _egg_incidence(self):
+        """Bitmasks over the egg indices: for each vertex the eggs holding
+        it (``_incidence``), all eggs, and for each vertex the eggs
+        avoiding it.  Built on the first read by an egg engine and kept;
+        a build that raises keeps nothing, so the next read raises too."""
+        if not self.masks:
+            raise ValueError("empty scramble")
+        n = self.graph.n
+        # a Scramble built directly skips make_scramble's checks
+        if min(self.masks) < 1:
+            raise ValueError("eggs must be nonempty")
+        if max(self.masks) >> n:
+            raise ValueError(f"egg vertex out of range for a graph on {n} vertices")
+        inc = _incidence(self.masks, n)
+        every = (1 << len(self.masks)) - 1
+        return inc, every, [every ^ row for row in inc]
 
     def __len__(self):
         return len(self.masks)
@@ -304,7 +324,7 @@ def _disconnected(G, masks):
     for row in inc:
         reached.append(row & ~below)
         below |= row
-    sweep = [(v, row, tuple(G._adj[v])) for v, row in enumerate(inc) if row]
+    sweep = [(v, row, tuple(_bits(G._mask[v]))) for v, row in enumerate(inc) if row]
     grew = True
     while grew:
         grew = False
@@ -320,22 +340,6 @@ def _disconnected(G, masks):
     for row, now in zip(inc, reached):
         bad |= row & ~now
     return bad
-
-
-def _egg_sets(S):
-    """Bitmasks over S's egg indices: for each vertex the eggs holding it
-    (``_incidence``), all eggs, and for each vertex the eggs avoiding it."""
-    if not S.masks:
-        raise ValueError("empty scramble")
-    n = S.graph.n
-    # a Scramble built directly skips make_scramble's checks
-    if min(S.masks) < 1:
-        raise ValueError("eggs must be nonempty")
-    if max(S.masks) >> n:
-        raise ValueError(f"egg vertex out of range for a graph on {n} vertices")
-    inc = _incidence(S.masks, n)
-    every = (1 << len(S.masks)) - 1
-    return inc, every, [every ^ row for row in inc]
 
 
 def _sliced_sum(rows):
@@ -376,7 +380,7 @@ def _sliced_argmin(slices, eggs):
     return (eggs & -eggs).bit_length() - 1
 
 
-def hitting_search(S, target=None, budget=None, progress=None, *, egg_sets=None):
+def hitting_search(S, target=None, budget=None, progress=None):
     """Prove lower bounds on the hitting number until the optimum is
     found, ``target`` is reached, or ``budget`` seconds run out.
 
@@ -385,7 +389,7 @@ def hitting_search(S, target=None, budget=None, progress=None, *, egg_sets=None)
     uncovered eggs prunes subtrees that cannot fit the size cap.
 
     Sets of eggs are bitmasks over egg indices, and the incidence
-    ``inc[v]`` (the eggs containing vertex v) is built once per call, so
+    ``inc[v]`` (the eggs containing vertex v) is built once per scramble, so
     covering, packing and banning a vertex are big-integer operations
     rather than scans over the eggs.  Each egg's count of allowed
     (unbanned) vertices is kept bit-sliced: it starts at the egg sizes,
@@ -393,10 +397,9 @@ def hitting_search(S, target=None, budget=None, progress=None, *, egg_sets=None)
     found in one pass over the slices.
 
     ``budget`` is None or a number of seconds >= 0 (inf included).
-    ``egg_sets`` is ``_egg_sets(S)`` when the caller has built it.
     """
     _check_budget(budget)
-    inc, every, outside = _egg_sets(S) if egg_sets is None else egg_sets
+    inc, every, outside = S._egg_incidence
     search = _Deepening(budget, progress)
     tick = search.tick
     masks = S.masks
@@ -478,13 +481,17 @@ def _first_disjoint_pair(masks, inc, every):
     return None
 
 
-def _too_large_to_be_disjoint(S):
-    """Whether twice the smallest egg holds more than n vertices: then
-    any two eggs together hold more vertices than the graph, so by
-    pigeonhole they share one, and no two eggs are disjoint.  The first
-    egg's size alone rules most scrambles out before the full scan."""
+def _disjoint_pair(S):
+    """``_first_disjoint_pair`` of S's eggs, unless pigeonhole rules a
+    pair out first: when twice the smallest egg holds more than n
+    vertices, any two eggs together hold more vertices than the graph,
+    so they share one.  The first egg's size alone rules most scrambles
+    out before the full scan."""
+    inc, every, _ = S._egg_incidence
     n = S.graph.n
-    return 2 * S.masks[0].bit_count() > n and 2 * min(map(int.bit_count, S.masks)) > n
+    if 2 * S.masks[0].bit_count() > n and 2 * min(map(int.bit_count, S.masks)) > n:
+        return None
+    return _first_disjoint_pair(S.masks, inc, every)
 
 
 def has_finite_egg_cut(S):
@@ -494,16 +501,13 @@ def has_finite_egg_cut(S):
     pairwise-overlapping scrambles have no finite one.  When twice the
     smallest egg exceeds n, pigeonhole says so with no scan of the eggs.
     """
-    inc, every, _ = _egg_sets(S)
-    if _too_large_to_be_disjoint(S):
-        return False, None
-    pair = _first_disjoint_pair(S.masks, inc, every)
+    pair = _disjoint_pair(S)
     if pair is None:
         return False, None
     return True, tuple(frozenset(_bits(mask)) for mask in pair)
 
 
-def egg_cut_number(S, *, egg_sets=None):
+def egg_cut_number(S):
     """Minimum edges crossing any split that leaves whole eggs on both
     sides; INF when no two eggs are disjoint.
 
@@ -515,35 +519,30 @@ def egg_cut_number(S, *, egg_sets=None):
     search ``invariants._min_split`` grows such a side with its egg
     test.  When the eggs pairwise overlap no split passes, and the
     search could show that only by exhausting its tree, so that case is
-    settled first: by pigeonhole when twice the smallest egg exceeds n
-    (two eggs then hold more vertices than G, so they meet), else by a
-    scan for two disjoint eggs.  The leaf test assumes connected eggs,
-    which ``Scramble`` does not check.  ``egg_sets`` is ``_egg_sets(S)``
-    when the caller has built it.
+    settled first by ``_disjoint_pair``.  The leaf test assumes
+    connected eggs, which ``Scramble`` does not check.
     """
     G = S.graph
-    inc, every, out = _egg_sets(S) if egg_sets is None else egg_sets
+    inc, every, out = S._egg_incidence
     full = (1 << G.n) - 1
     home = G._component_of((S.masks[0] & -S.masks[0]).bit_length() - 1, full)
     if any(inc[v] for v in _bits(full ^ home)):
         return 0
-    if _too_large_to_be_disjoint(S) or _first_disjoint_pair(S.masks, inc, every) is None:
+    if _disjoint_pair(S) is None:
         return INF
     return invariants._min_split(G, home, out=out, every=every)
 
 
-def _order_with_cut(S, e, egg_sets=None):
+def _order_with_cut(S, e):
     """min(hitting number, e), the hitting search stopping once e is a
     proven bound."""
-    optimum = hitting_search(S, target=None if e == INF else e, egg_sets=egg_sets).optimum
+    optimum = hitting_search(S, target=None if e == INF else e).optimum
     return e if optimum is None else min(optimum, e)
 
 
 def scramble_order(S):
-    """min(hitting number, egg-cut number), both computed from the eggs,
-    whose incidence is built once for the two."""
-    egg_sets = _egg_sets(S)
-    return _order_with_cut(S, egg_cut_number(S, egg_sets=egg_sets), egg_sets)
+    """min(hitting number, egg-cut number), both computed from the eggs."""
+    return _order_with_cut(S, egg_cut_number(S))
 
 
 # -- uniform scrambles from graph invariants ------------------------------

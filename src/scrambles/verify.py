@@ -167,7 +167,7 @@ def _valence_sum_checks(G, adjacent_floor, nonadjacent_floor):
     low = {True: None, False: None}
     for u in range(G.n):
         for v in range(u + 1, G.n):
-            adjacent = G.mult(u, v) > 0
+            adjacent = G._mask[u] >> v & 1 == 1
             floor = adjacent_floor if adjacent else nonadjacent_floor
             total = G.valence(u) + G.valence(v)
             if floor is not None and total < floor:

@@ -129,6 +129,13 @@ class TestReduction:
         with pytest.raises(ValueError, match="connected"):
             q_reduce(G, (0, 0, 0, 0), 0)
 
+    @given(connected_multigraphs(max_n=9, max_extra=6), st.data())
+    @settings(deadline=None)
+    def test_bfs_order_is_by_distance_then_index(self, G, data):
+        q = data.draw(st.integers(0, G.n - 1))
+        dist = oracles.distances_from(*plain_edges(G), q)
+        assert chipfiring._bfs_order(G, q) == sorted(range(G.n), key=lambda v: (dist[v], v))
+
     def test_long_burning_phase_on_hypercube(self):
         # debt clearing leaves the chips far from q, so the burning phase
         # needs many firings of the same surviving sets
@@ -180,7 +187,7 @@ class TestBurn:
         # vertex 1 holds a chip against a double edge to the fire, vertex 2
         # one chip against a single edge
         G = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
-        burnt, incoming, count = chipfiring._burn(G._pairs(), (0, 1, 1), 0)
+        burnt, incoming, count = chipfiring._burn(G._pairs, (0, 1, 1), 0)
         assert burnt == [True, True, False]
         assert count == 2
         assert incoming[2] == 1
@@ -192,7 +199,7 @@ class TestBurn:
         chips = data.draw(divisors_for(G.n, 0, 4))
         n, edges = plain_edges(G)
         want = oracles.dhar_burnt(n, edges, chips, q)
-        burnt, incoming, count = chipfiring._burn(G._pairs(), chips, q)
+        burnt, incoming, count = chipfiring._burn(G._pairs, chips, q)
         assert (count == n) == (len(want) == n)
         if count < n:
             # all burnt may stop early; a surviving set is read in full
@@ -243,6 +250,11 @@ class TestPositiveRank:
         assert not has_positive_rank(C5, (1, 0, 0, 0, 0))
         assert has_positive_rank(C5, (0, 0, 0, 0, 2))
 
+    def test_disconnected_graph_rejected(self):
+        G = Multigraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="graph must be connected"):
+            has_positive_rank(G, (1, 0, 1, 0))
+
     @given(graph_and_divisor(max_n=4, low=-1, high=2))
     @settings(deadline=None, max_examples=40)
     def test_matches_lattice_oracle(self, pair):
@@ -264,7 +276,7 @@ class TestPositiveRank:
     def test_early_exit_rank_test_matches_dhar_oracle(self, pair):
         # D is tested as drawn, not 0-reduced first, so sets fire
         G, D = pair
-        keeps = all(chipfiring._keeps_chip(G._pairs(), D, q) for q in range(G.n))
+        keeps = all(chipfiring._keeps_chip(G._pairs, D, q) for q in range(G.n))
         assert keeps == oracles.has_positive_rank_dhar(*plain_edges(G), D)
 
 

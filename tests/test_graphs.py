@@ -32,7 +32,7 @@ from scrambles import (
     path_graph,
     random_connected_multigraph,
 )
-from strategies import connected_multigraphs, plain_edges, vertex_set
+from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
 
 TRIANGLE_DOC = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_EDGE_DOC = "2 2\n0 1\n0 1\n"
@@ -125,7 +125,7 @@ class TestGirth:
         assert path_graph(6).girth() == INF
         assert fmt_count(path_graph(6).girth()) == "inf"
 
-    @given(connected_multigraphs(max_n=7))
+    @given(st.one_of(connected_multigraphs(max_n=7), disjoint_unions()))
     @settings(deadline=None)
     def test_matches_bfs_oracle(self, G):
         assert G.girth() == oracles.girth_bfs(*plain_edges(G))
@@ -143,13 +143,13 @@ class TestBipartition:
         sides = herschel_graph().bipartition()
         assert sides == ({0, 1, 6, 7, 8, 9}, {2, 3, 4, 5, 10})
 
-    @given(connected_multigraphs(max_n=7))
+    @given(st.one_of(connected_multigraphs(max_n=7), disjoint_unions()))
     @settings(deadline=None)
     def test_sides_cover_and_no_internal_edges(self, G):
         sides = G.bipartition()
         if sides is None:
             # a 2-coloring failure must come with an odd closed walk,
-            # which for our connected inputs means some odd cycle exists
+            # which means some odd cycle exists
             assert G.girth() != INF
             return
         a, b = sides
@@ -157,6 +157,8 @@ class TestBipartition:
         assert not a & b
         for u, v, _ in G.edges():
             assert (u in a) != (v in a)
+        for comp in G.connected_components():
+            assert min(comp) in a
 
 
 class TestParsing:

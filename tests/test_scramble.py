@@ -601,7 +601,21 @@ class TestOrder:
         monkeypatch.setattr(scramble, "_incidence", recording)
         S = uniform_scramble(hypercube(3), 2)
         assert scramble_order(S) == 4
+        assert hitting_search(S).optimum == 4
+        assert egg_cut_number(S) == 4
+        assert has_finite_egg_cut(S)[0]
         assert builds == [len(S.masks)]
+
+    def test_failed_incidence_build_is_not_kept(self):
+        # a build that raises caches nothing, so every call raises anew
+        for masks, message in [((), "empty scramble"), ((0b1001,), "out of range")]:
+            S = Scramble(path_graph(3), masks)
+            raised = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message) as caught:
+                    scramble_order(S)
+                raised.append(str(caught.value))
+            assert raised[0] == raised[1]
 
     @given(scrambles_on())
     @settings(deadline=None, max_examples=40)

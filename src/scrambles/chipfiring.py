@@ -175,8 +175,7 @@ def q_reduce(G, D, q):
     and survives no burning round."""
     _check_divisor(G, D)
     G._check_vertex(q)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     return _reduce_along(G._pairs, D, q, _bfs_order(G, q))
 
 
@@ -184,8 +183,7 @@ def is_equivalent(G, D1, D2):
     """Whether D1 and D2 differ by a sequence of firings."""
     _check_divisor(G, D1)
     _check_divisor(G, D2)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     if sum(D1) != sum(D2):
         return False
     pairs, order = G._pairs, _bfs_order(G, 0)
@@ -201,8 +199,7 @@ def has_positive_rank(G, D):
     other vertices need only the burning test of ``_keeps_chip``.
     """
     _check_divisor(G, D)
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     if sum(D) < 0:
         return False
     pairs = G._pairs
@@ -271,8 +268,7 @@ def gonality_bruteforce(G, max_degree=None):
     """
     if G.n == 0:
         raise ValueError("graph has no vertices")
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     n = G.n
     cap = n if max_degree is None else max_degree
     if cap < 0:

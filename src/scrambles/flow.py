@@ -66,6 +66,5 @@ def min_edge_cut(G, u, v):
     G._check_vertex(v)
     if u == v:
         raise ValueError("endpoints must differ")
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     return _max_flow(G, 1 << u, 1 << v)

@@ -159,6 +159,10 @@ class Multigraph:
         if not 1 <= k <= self.n:
             raise ValueError(f"subset size {k} out of range for {self.n} vertices")
 
+    def _check_connected(self):
+        if not self.is_connected():
+            raise ValueError("graph must be connected")
+
     def _vertex_mask(self, subset):
         mask = 0
         for v in subset:

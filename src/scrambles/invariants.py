@@ -128,8 +128,7 @@ def restricted_edge_connectivity(G, k):
     """
     if k < 1:
         raise ValueError("component size bound must be at least 1")
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     return _min_split(G, (1 << G.n) - 1, k=k)
 
 

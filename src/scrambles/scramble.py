@@ -21,8 +21,8 @@ deepening searches share one node counter, deadline and progress line
 (``_Deepening``).
 
 Eggs read from a file or handed to ``make_scramble`` are checked
-connected all at once, by a search that spreads over the same
-transposed incidence.
+connected all at once, by a search that spreads over the incidence
+their ``Scramble`` builds then and keeps for the engines.
 """
 
 import sys
@@ -53,7 +53,7 @@ class Scramble:
     built afresh on each read.  The egg engines assume connected eggs:
     ``make_scramble``, ``parse_scramble`` and ``uniform_scramble`` ensure
     them, while on a direct build the engines refuse only empty or
-    out-of-range masks."""
+    out-of-range masks.  Made or parsed eggs come with their incidence."""
 
     graph: object
     masks: tuple
@@ -66,8 +66,9 @@ class Scramble:
     def _egg_incidence(self):
         """Bitmasks over the egg indices: for each vertex the eggs holding
         it (``_incidence``), all eggs, and for each vertex the eggs
-        avoiding it.  Built on the first read by an egg engine and kept;
-        a build that raises keeps nothing, so the next read raises too."""
+        avoiding it.  Built on the first read (the connectivity check of
+        a made or parsed scramble, else an egg engine) and kept; a build
+        that raises keeps nothing, so the next read raises too."""
         if not self.masks:
             raise ValueError("empty scramble")
         n = self.graph.n
@@ -84,15 +85,10 @@ class Scramble:
         return len(self.masks)
 
 
-def _canonical(G, masks):
-    """The scramble on G with the given set of validated egg bitmasks, put
-    in canonical order."""
-    return Scramble(G, tuple(_lex_sorted(masks)))
-
-
-def _checked_masks(G, rows, replay, mask_of, disconnected):
-    """The set of distinct egg masks ``mask_of`` makes of ``rows``, every
-    one checked connected in a single ``_disconnected`` batch.
+def _checked_scramble(G, rows, replay, mask_of, disconnected):
+    """The canonical scramble on G of the distinct egg masks ``mask_of``
+    makes of ``rows``, every one checked connected in a single
+    ``_disconnected`` sweep over the incidence the scramble keeps.
 
     Whatever the fault, the first faulty row is the one reported.  A row
     that ``mask_of`` refuses ends the pass; the masks read before it are
@@ -107,16 +103,16 @@ def _checked_masks(G, rows, replay, mask_of, disconnected):
         masks.update(map(mask_of, rows))
     except Exception as error:  # raised below, once the rows before it pass
         refused = error
+    S = Scramble(G, tuple(_lex_sorted(masks)))
     if masks:
-        order = list(masks)
-        bad = _disconnected(G, order)
+        bad = _disconnected(G, S._egg_incidence[0])
         if bad:
-            bad = {order[i] for i in _bits(bad)}
+            bad = {S.masks[i] for i in _bits(bad)}
             row = next(row for row in replay() if mask_of(row) in bad)
             raise disconnected(row)
     if refused is not None:
         raise refused
-    return masks
+    return S
 
 
 def make_scramble(G, eggs):
@@ -133,7 +129,7 @@ def make_scramble(G, eggs):
     def disconnected(egg):
         return ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
 
-    return _canonical(G, _checked_masks(G, eggs, lambda: eggs, mask_of, disconnected))
+    return _checked_scramble(G, eggs, lambda: eggs, mask_of, disconnected)
 
 
 def uniform_scramble(G, k):
@@ -167,9 +163,10 @@ def parse_scramble(text, G):
     of each vertex to its bit; the mask is their sum, and it holds a
     repeated vertex iff it has fewer bits than the line has tokens.  A
     miss or a repeat sends the line to ``int`` parsing and the range and
-    repeat checks.  The distinct masks are then checked connected in one
-    batch (``_disconnected``).  A fault is reported at the first faulty
-    line, whatever the fault; see ``_checked_masks``.
+    repeat checks.  The distinct masks are then put in canonical order
+    and checked connected in one sweep over the scramble's incidence.  A
+    fault is reported at the first faulty line, whatever the fault; see
+    ``_checked_scramble``.
     """
     n = G.n
     lookup = {str(v): 1 << v for v in range(n)}.__getitem__
@@ -190,7 +187,7 @@ def parse_scramble(text, G):
     def disconnected(row):
         return ScrambleFileError("egg does not induce a connected subgraph", row[0])
 
-    return _canonical(G, _checked_masks(G, rows(), rows, mask_of, disconnected))
+    return _checked_scramble(G, rows(), rows, mask_of, disconnected)
 
 
 # -- hitting number ------------------------------------------------------
@@ -307,10 +304,10 @@ def _incidence(masks, n):
     return inc
 
 
-def _disconnected(G, masks):
-    """The bitmask over the indices of ``masks`` (nonempty vertex masks
-    on G) of those that induce a disconnected subgraph, all tested at
-    once on the transposed incidence.
+def _disconnected(G, inc):
+    """The bitmask over the egg indices of those eggs that induce a
+    disconnected subgraph of G, all tested at once on their incidence
+    ``inc`` (``_incidence`` of nonempty vertex masks on G).
 
     Bit i of ``reached[v]`` says that v is reached from the lowest vertex
     of egg i without leaving egg i.  It starts at each egg's lowest
@@ -318,7 +315,6 @@ def _disconnected(G, masks):
     neighbour u)`` is swept over the vertices until nothing changes.  An
     egg is disconnected iff one of its vertices is never reached.
     """
-    inc = _incidence(masks, G.n)
     reached = []
     below = 0  # eggs holding a vertex below v
     for row in inc:
@@ -602,6 +598,5 @@ def uniform_egg_cut_number(G, k):
 def uniform_order_via_invariants(G, k):
     """Order of the uniform k-scramble on a connected graph, from graph
     invariants alone."""
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
     return min(uniform_egg_cut_number(G, k), uniform_hitting_number(G, k))

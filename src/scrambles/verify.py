@@ -128,8 +128,7 @@ def render_report(report):
 def _require_usable(G):
     if G.n < 2:
         raise ValueError("graph must have at least 2 vertices")
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    G._check_connected()
 
 
 def _require_simple(G):

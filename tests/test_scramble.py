@@ -169,17 +169,17 @@ class TestParsing:
     def test_repeated_eggs_are_checked_once(self, monkeypatch):
         S = uniform_scramble(herschel_graph(), 3)
         rows = [" ".join(map(str, sorted(egg))) for egg in S.eggs]
-        checked = []
-        batch = scramble._disconnected
+        builds = []
+        original = scramble._incidence
 
-        def recording(G, masks):
-            checked.extend(masks)
-            return batch(G, masks)
+        def recording(masks, n):
+            builds.append(masks)
+            return original(masks, n)
 
-        monkeypatch.setattr(scramble, "_disconnected", recording)
+        monkeypatch.setattr(scramble, "_incidence", recording)
         T = parse_scramble("".join(row + "\n" for row in rows * 2), S.graph)
         assert T.masks == S.masks
-        assert sorted(checked) == sorted(S.masks)
+        assert builds == [S.masks]
 
     def test_repeated_disconnected_egg_reported_at_first_line(self):
         with pytest.raises(ScrambleFileError, match="connected") as info:
@@ -241,7 +241,7 @@ class TestBatchedConnectivity:
                     mask |= 1 << rng.choice(border)
             masks.add(mask)
         masks = sorted(masks)
-        bad = scramble._disconnected(G, masks)
+        bad = scramble._disconnected(G, scramble._incidence(masks, n))
         assert [bool(bad >> i & 1) for i in range(len(masks))] == [
             not G._mask_connected(mask) for mask in masks
         ]
@@ -595,16 +595,28 @@ class TestOrder:
         original = scramble._incidence
 
         def recording(masks, n):
-            builds.append(len(masks))
+            builds.append(masks)
             return original(masks, n)
 
         monkeypatch.setattr(scramble, "_incidence", recording)
-        S = uniform_scramble(hypercube(3), 2)
-        assert scramble_order(S) == 4
-        assert hitting_search(S).optimum == 4
-        assert egg_cut_number(S) == 4
-        assert has_finite_egg_cut(S)[0]
-        assert builds == [len(S.masks)]
+        G = hypercube(3)
+        canonical = uniform_scramble(G, 2).masks
+        eggs = uniform_scramble(G, 2).eggs[::-1] * 2  # out of order, each twice
+        rows = "".join(" ".join(map(str, sorted(egg))) + "\n" for egg in eggs)
+        # the connectivity check of a parsed or made scramble builds the
+        # incidence, over the canonical masks, and the engines reuse it
+        for build in (
+            lambda: uniform_scramble(G, 2),
+            lambda: parse_scramble(rows, G),
+            lambda: make_scramble(G, eggs),
+        ):
+            builds.clear()
+            S = build()
+            assert scramble_order(S) == 4
+            assert hitting_search(S).optimum == 4
+            assert egg_cut_number(S) == 4
+            assert has_finite_egg_cut(S)[0]
+            assert builds == [canonical]
 
     def test_failed_incidence_build_is_not_kept(self):
         # a build that raises caches nothing, so every call raises anew

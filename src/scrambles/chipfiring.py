@@ -170,6 +170,18 @@ def _keeps_chip(pairs, D, q):
     return True
 
 
+def _refusing_vertex(pairs, D, first):
+    """A vertex whose reduced form of the effective divisor D holds no
+    chip, trying ``first`` before the rest in order; None when D has
+    positive rank."""
+    if not _keeps_chip(pairs, D, first):
+        return first
+    for q in range(len(D)):
+        if q != first and not _keeps_chip(pairs, D, q):
+            return q
+    return None
+
+
 def q_reduce(G, D, q):
     """The unique divisor equivalent to D that is non-negative outside q
     and survives no burning round."""
@@ -183,6 +195,7 @@ def is_equivalent(G, D1, D2):
     """Whether D1 and D2 differ by a sequence of firings."""
     _check_divisor(G, D1)
     _check_divisor(G, D2)
+    G._check_nonempty()
     G._check_connected()
     if sum(D1) != sum(D2):
         return False
@@ -196,15 +209,17 @@ def has_positive_rank(G, D):
 
     Rank is a class invariant, so D is first replaced by its 0-reduced
     form D0.  That needs a chip on 0; then D0 is effective, and the
-    other vertices need only the burning test of ``_keeps_chip``.
+    other vertices need only the burning test of ``_refusing_vertex``,
+    which passes 0 at once.
     """
     _check_divisor(G, D)
+    G._check_nonempty()
     G._check_connected()
     if sum(D) < 0:
         return False
     pairs = G._pairs
     D0 = _reduce_along(pairs, D, 0, _bfs_order(G, 0))
-    return D0[0] >= 1 and all(_keeps_chip(pairs, D0, q) for q in range(1, G.n))
+    return D0[0] >= 1 and _refusing_vertex(pairs, D0, 0) is None
 
 
 # -- gonality ------------------------------------------------------------
@@ -224,18 +239,6 @@ class GonalityResult:
     max_degree: int
     rank_tests: int = field(compare=False)
     superstable_burns: int = field(compare=False)
-
-
-def _refusing_vertex(pairs, D, first):
-    """A vertex whose reduced form of the effective divisor D holds no
-    chip, trying ``first`` before the rest in order; None when D has
-    positive rank."""
-    if not _keeps_chip(pairs, D, first):
-        return first
-    for q in range(len(D)):
-        if q != first and not _keeps_chip(pairs, D, q):
-            return q
-    return None
 
 
 def gonality_bruteforce(G, max_degree=None):
@@ -266,8 +269,7 @@ def gonality_bruteforce(G, max_degree=None):
     degree that the search meets.  The default degree cap is n, which is
     never the binding constraint on a connected graph.
     """
-    if G.n == 0:
-        raise ValueError("graph has no vertices")
+    G._check_nonempty()
     G._check_connected()
     n = G.n
     cap = n if max_degree is None else max_degree
@@ -385,8 +387,7 @@ def gonality_upper_by_separator(G):
     most limit + 1 < g.  A larger limit gives a smaller separator, and
     limit < m keeps it nonempty.
     """
-    if G.n == 0:
-        raise ValueError("graph has no vertices")
+    G._check_nonempty()
     limit = min(G.girth() - 2, max(map(len, G.connected_components())) - 1)
     sep = frozenset(range(G.n)) - max_component_independent_set(G, limit)
     return SeparatorBound(len(sep), sep, limit)

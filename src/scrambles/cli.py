@@ -12,13 +12,10 @@ from .graphs import InputFormatError, fmt_count
 from .invariants import compute_invariant
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # argparse catches only its own ArgumentError, so this reaches run_cli
+        raise ValueError(message)
 
 
 def _read(path):
@@ -132,15 +129,15 @@ def _cmd_info(args):
 def _cmd_invariant(args):
     if args.kind == "girth":
         if len(args.args) != 1:
-            raise _UsageError("girth takes no parameter, just a file")
+            raise ValueError("girth takes no parameter, just a file")
         parameter, path = 0, args.args[0]
     else:
         if len(args.args) != 2:
-            raise _UsageError(f"{args.kind} needs a parameter K and a file")
+            raise ValueError(f"{args.kind} needs a parameter K and a file")
         try:
             parameter = int(args.args[0])
         except ValueError:
-            raise _UsageError("parameter K must be an integer") from None
+            raise ValueError("parameter K must be an integer") from None
         path = args.args[1]
     G = graphs.parse_edge_list(_read(path))
     print(fmt_count(compute_invariant(G, args.kind, parameter)))
@@ -155,7 +152,7 @@ def _cmd_scramble_uniform(args):
             ("--prove-at-least", args.prove_at_least is not None),
         ):
             if given:
-                raise _UsageError(f"{flag} only applies to --hitting")
+                raise ValueError(f"{flag} only applies to --hitting")
     G = graphs.parse_edge_list(_read(args.file))
     if args.hitting:
         progress = None
@@ -246,16 +243,16 @@ def _cmd_verify(args):
         try:
             parameter = int(raw)
         except ValueError:
-            raise _UsageError(f"bad theorem parameter {raw!r}") from None
+            raise ValueError(f"bad theorem parameter {raw!r}") from None
     token = token.replace("-", "_")
     theorem = verify.THEOREMS.get(token)
     if theorem is None:
-        raise _UsageError(f"unknown theorem {args.theorem!r}")
+        raise ValueError(f"unknown theorem {args.theorem!r}")
     name = token.replace("_", "-")
     if theorem.example is None and parameter is not None:
-        raise _UsageError(f"{name} takes no parameter")
+        raise ValueError(f"{name} takes no parameter")
     if theorem.example is not None and parameter is None:
-        raise _UsageError(f"{name} needs a parameter, e.g. {name}:{theorem.example}")
+        raise ValueError(f"{name} needs a parameter, e.g. {name}:{theorem.example}")
     G = graphs.parse_edge_list(_read(args.file))
     verifier = getattr(verify, theorem.verifier)
     caps = {"brute_cap": args.brute_cap} if theorem.cross_checked else {}
@@ -280,9 +277,6 @@ def run_cli(argv):
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InputFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -122,8 +122,7 @@ class Multigraph:
         return self._val[v]
 
     def min_valence(self):
-        if self.n == 0:
-            raise ValueError("graph has no vertices")
+        self._check_nonempty()
         return min(self._val)
 
     def edges(self):
@@ -154,6 +153,10 @@ class Multigraph:
     def _check_vertex(self, v):
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for {self.n} vertices")
+
+    def _check_nonempty(self):
+        if self.n == 0:
+            raise ValueError("graph has no vertices")
 
     def _check_subset_size(self, k):
         if not 1 <= k <= self.n:

@@ -21,8 +21,9 @@ deepening searches share one node counter, deadline and progress line
 (``_Deepening``).
 
 Eggs read from a file or handed to ``make_scramble`` are checked
-connected all at once, by a search that spreads over the incidence
-their ``Scramble`` builds then and keeps for the engines.
+connected all at once, over the incidence their ``Scramble`` builds
+then and keeps for the engines; only on a fault are they checked again
+one at a time, to name the first faulty one.
 """
 
 import sys
@@ -85,34 +86,27 @@ class Scramble:
         return len(self.masks)
 
 
-def _checked_scramble(G, rows, replay, mask_of, disconnected):
-    """The canonical scramble on G of the distinct egg masks ``mask_of``
-    makes of ``rows``, every one checked connected in a single
+def _checked_scramble(G, rows, mask_of, disconnected):
+    """The canonical scramble on G of the distinct masks ``mask_of`` makes
+    of the rows ``rows()`` yields, checked connected in one
     ``_disconnected`` sweep over the incidence the scramble keeps.
 
-    Whatever the fault, the first faulty row is the one reported.  A row
-    that ``mask_of`` refuses ends the pass; the masks read before it are
-    checked first, and if one fails, ``replay()`` (the rows again, in
-    order) names the first row that made it, which is raised as
-    ``disconnected(row)``.  The first disconnected row comes before the
-    refused one, so the replay never reaches the refused row.
+    On any fault, a disconnected egg included, the rows are read again
+    and each is checked alone, by ``mask_of`` and ``G._mask_connected``:
+    the first faulty row raises its refusal or ``disconnected(row)``.
+    If none fails alone, the fault came from reading the rows, and is
+    raised as it was.
     """
-    masks = set()
-    refused = None
     try:
-        masks.update(map(mask_of, rows))
-    except Exception as error:  # raised below, once the rows before it pass
-        refused = error
-    S = Scramble(G, tuple(_lex_sorted(masks)))
-    if masks:
-        bad = _disconnected(G, S._egg_incidence[0])
-        if bad:
-            bad = {S.masks[i] for i in _bits(bad)}
-            row = next(row for row in replay() if mask_of(row) in bad)
-            raise disconnected(row)
-    if refused is not None:
-        raise refused
-    return S
+        S = Scramble(G, tuple(_lex_sorted(set(map(mask_of, rows())))))
+        if S.masks and _disconnected(G, S._egg_incidence[0]):
+            raise ValueError("egg does not induce a connected subgraph")
+        return S
+    except Exception:
+        for row in rows():
+            if not G._mask_connected(mask_of(row)):
+                raise disconnected(row) from None
+        raise
 
 
 def make_scramble(G, eggs):
@@ -129,7 +123,7 @@ def make_scramble(G, eggs):
     def disconnected(egg):
         return ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
 
-    return _checked_scramble(G, eggs, lambda: eggs, mask_of, disconnected)
+    return _checked_scramble(G, lambda: eggs, mask_of, disconnected)
 
 
 def uniform_scramble(G, k):
@@ -187,7 +181,7 @@ def parse_scramble(text, G):
     def disconnected(row):
         return ScrambleFileError("egg does not induce a connected subgraph", row[0])
 
-    return _checked_scramble(G, rows(), rows, mask_of, disconnected)
+    return _checked_scramble(G, rows, mask_of, disconnected)
 
 
 # -- hitting number ------------------------------------------------------
@@ -217,17 +211,14 @@ class _Deadline(Exception):
     pass
 
 
-def _check_budget(budget):
-    if budget is not None and not budget >= 0:  # also refuses NaN
-        raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
-
-
 class _Deepening:
     """What the two hitting searches share: a node counter, a deadline,
     a progress line every 5 seconds, and the loop over sizes.  The clock
     starts when the object is made."""
 
     def __init__(self, budget, progress):
+        if budget is not None and not budget >= 0:  # also refuses NaN
+            raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
         self.start = time.monotonic()
         self.deadline = None if budget is None else self.start + budget
         self.progress = progress
@@ -394,7 +385,6 @@ def hitting_search(S, target=None, budget=None, progress=None):
 
     ``budget`` is None or a number of seconds >= 0 (inf included).
     """
-    _check_budget(budget)
     inc, every, outside = S._egg_incidence
     search = _Deepening(budget, progress)
     tick = search.tick
@@ -544,14 +534,21 @@ def scramble_order(S):
 # -- uniform scrambles from graph invariants ------------------------------
 
 
+def _holding(G, k):
+    """The components of G with at least k vertices, for 1 <= k <= n.
+    The uniform k-scramble is empty when there is none, which raises."""
+    G._check_subset_size(k)
+    holding = [comp for comp in G.connected_components() if len(comp) >= k]
+    if not holding:
+        raise ValueError("empty scramble")
+    return holding
+
+
 def uniform_hitting_number(G, k):
     """Hitting number of the uniform k-scramble, n - alpha_{k-1}: a set
     meets every connected k-set iff the rest has no component above k - 1."""
-    G._check_subset_size(k)
-    hitting = G.n - invariants.component_independence_number(G, k - 1)
-    if not hitting:  # every component is smaller than k: no eggs
-        raise ValueError("empty scramble")
-    return hitting
+    _holding(G, k)
+    return G.n - invariants.component_independence_number(G, k - 1)
 
 
 def uniform_hitting_search(G, k, target=None, budget=None, progress=None):
@@ -566,10 +563,7 @@ def uniform_hitting_search(G, k, target=None, budget=None, progress=None):
     rest is the witness.  Levels start at 1, and every node of the alpha
     walk counts toward ``nodes``, the deadline and the progress lines.
     """
-    G._check_subset_size(k)
-    _check_budget(budget)
-    if all(len(comp) < k for comp in G.connected_components()):
-        raise ValueError("empty scramble")
+    _holding(G, k)
     search = _Deepening(budget, progress)
     everything = frozenset(range(G.n))
 
@@ -586,10 +580,7 @@ def uniform_egg_cut_number(G, k):
     """Egg-cut number of the uniform k-scramble, with no egg built: 0
     when two components hold k vertices, else lambda_k of the one that
     does (the egg-cut number of a connected graph's uniform k-scramble)."""
-    G._check_subset_size(k)
-    holding = [comp for comp in G.connected_components() if len(comp) >= k]
-    if not holding:
-        raise ValueError("empty scramble")
+    holding = _holding(G, k)
     if len(holding) > 1:
         return 0
     return invariants._min_split(G, G._vertex_mask(holding[0]), k=k)

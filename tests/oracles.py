@@ -210,6 +210,52 @@ def connected_ksubsets(n, edges, k):
     return found
 
 
+def first_faulty_line(n, edges, text):
+    """An egg file read one line at a time: blank and ``#`` lines are
+    skipped, each token is read by ``int``, then the line is checked for
+    a repeated vertex, the range, and connectivity.  Returns
+    ``((message, line), None)`` for the first faulty line, else
+    ``(None, eggs)`` with the distinct eggs as vertex tuples, ascending."""
+    distinct = set()
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            egg = [int(tok) for tok in tokens]
+        except ValueError:
+            return ("egg line must hold integers", line), None
+        if len(set(egg)) < len(egg):
+            return ("repeated vertex in egg", line), None
+        for v in egg:
+            if not 0 <= v < n:
+                return (f"vertex {v} out of range", line), None
+        if not is_connected_subset(n, edges, egg):
+            return ("egg does not induce a connected subgraph", line), None
+        distinct.add(tuple(sorted(egg)))
+    if not distinct:
+        return ("no content lines", None), None
+    return None, sorted(distinct)
+
+
+def first_faulty_egg(n, edges, eggs):
+    """Vertex sets checked one at a time for range, emptiness and
+    connectivity.  Returns ``(message, None)`` for the first faulty set,
+    else ``(None, eggs)`` with the distinct sets as vertex tuples,
+    ascending."""
+    distinct = set()
+    for egg in eggs:
+        for v in egg:
+            if not 0 <= v < n:
+                return f"vertex {v} out of range for {n} vertices", None
+        if not egg:
+            return "eggs must be nonempty", None
+        if not is_connected_subset(n, edges, egg):
+            return f"egg {sorted(egg)} does not induce a connected subgraph", None
+        distinct.add(tuple(sorted(egg)))
+    return None, sorted(distinct)
+
+
 def hitting_exhaustive(n, eggs):
     """Smallest transversal size by direct enumeration."""
     eggs = [set(e) for e in eggs]

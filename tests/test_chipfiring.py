@@ -223,6 +223,10 @@ class TestEquivalence:
         D = (2, 1, 0, 0)
         assert is_equivalent(G, D, fire_vertex(G, D, 1))
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            is_equivalent(Multigraph(0), (), ())
+
     @given(graph_and_divisor(max_n=5), st.data())
     @settings(deadline=None, max_examples=60)
     def test_matches_lattice_oracle(self, pair, data):
@@ -254,6 +258,10 @@ class TestPositiveRank:
         G = Multigraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="graph must be connected"):
             has_positive_rank(G, (1, 0, 1, 0))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            has_positive_rank(Multigraph(0), ())
 
     @given(graph_and_divisor(max_n=4, low=-1, high=2))
     @settings(deadline=None, max_examples=40)

@@ -172,6 +172,12 @@ class TestInvariant:
         path = graph_file("cycle", "4")
         assert run_cli(["invariant", "lambda-k", path]) == 1
 
+    def test_unknown_kind_is_a_usage_error(self, graph_file, capsys):
+        path = graph_file("cycle", "4")
+        capsys.readouterr()
+        assert run_cli(["invariant", "nope", "1", path]) == 1
+        assert capsys.readouterr().err.startswith("error: argument kind: invalid choice")
+
 
 class TestScrambleUniform:
     def test_default_prints_all_three_quantities(self, graph_file, capsys):
@@ -280,6 +286,12 @@ class TestScrambleUniform:
             assert capsys.readouterr().err.strip() == (
                 f"error: subset size {k} out of range for 8 vertices"
             )
+
+    def test_unrecognized_argument_is_a_usage_error(self, graph_file, capsys):
+        path = graph_file("cycle", "4")
+        capsys.readouterr()
+        assert run_cli(["scramble", "uniform", "2", path, "--bogus"]) == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: --bogus")
 
     def test_quantity_flags_are_exclusive(self, graph_file, capsys):
         path = graph_file("cycle", "4")

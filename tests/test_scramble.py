@@ -71,6 +71,38 @@ def wide_scrambles(draw):
     return make_scramble(G, rng.sample(pool, rng.randint(65, min(len(pool), 120))))
 
 
+@st.composite
+def faulty_rows(draw):
+    """A small graph and rows of vertices for it: connected eggs, some
+    repeated, with 0 to 3 faulty rows of mixed kinds at random places
+    (a disconnected or empty set, a repeated or out-of-range vertex, or
+    a token that is not an integer)."""
+    G = draw(st.one_of(connected_multigraphs(max_n=7), disjoint_unions()))
+    n = G.n
+    pool = [sorted(vertex_set(mask)) for k in range(1, n + 1)
+            for mask in enumerate_connected_subsets(G, k)]
+    rows = draw(st.lists(st.sampled_from(pool), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        egg = list(draw(st.sampled_from(pool)))
+        kind = draw(st.sampled_from(["subset", "empty", "repeat", "range", "bad"]))
+        if kind == "subset":  # connected or not
+            egg = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2)))
+        elif kind == "empty":
+            egg = []
+        elif kind == "repeat":
+            egg.append(draw(st.sampled_from(egg)))
+        elif kind == "range":
+            egg.append(draw(st.sampled_from([n, n + 7, -1])))
+        else:
+            egg.append(draw(st.sampled_from(["x", "1.5", "0x1"])))
+        egg = draw(st.permutations(egg))
+        rows.insert(draw(st.integers(0, len(rows))), egg)
+    return G, rows
+
+
 class TestConstruction:
     def test_eggs_deduplicated_and_sorted(self):
         G = path_graph(4)
@@ -202,6 +234,30 @@ class TestParsing:
             parse_scramble(text, cycle_graph(4))
         assert info.value.line == line
 
+    @given(faulty_rows(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_first_fault_matches_sequential_oracle(self, graph_and_rows, data):
+        G, rows = graph_and_rows
+        lines = []
+        for row in rows:
+            if not row:  # an empty egg is a blank line in a file
+                lines.append(data.draw(st.sampled_from(["", "  ", "# note", "  # 1 x"])))
+                continue
+            spell = st.sampled_from(["{}", "{}", "0{}", "+{}"])
+            lines.append(" \t"[data.draw(st.integers(0, 1))].join(
+                data.draw(spell).format(v) for v in row))
+        text = "".join(line + "\n" for line in lines)
+        fault, eggs = oracles.first_faulty_line(*plain_edges(G), text)
+        if fault is None:
+            S = parse_scramble(text, G)
+            assert S.masks == tuple(sum(1 << v for v in egg) for egg in eggs)
+            return
+        message, line = fault
+        with pytest.raises(ScrambleFileError) as info:
+            parse_scramble(text, G)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
     def test_odd_tokens_parse_as_integers(self):
         S = parse_scramble("00 +1\n1\t2\n", cycle_graph(4))
         assert S.masks == (0b0011, 0b0110)
@@ -245,6 +301,20 @@ class TestBatchedConnectivity:
         assert [bool(bad >> i & 1) for i in range(len(masks))] == [
             not G._mask_connected(mask) for mask in masks
         ]
+
+    @given(faulty_rows())
+    @settings(deadline=None, max_examples=150)
+    def test_make_scramble_matches_sequential_oracle(self, graph_and_rows):
+        G, rows = graph_and_rows
+        eggs = [frozenset(row) for row in rows if all(isinstance(v, int) for v in row)]
+        fault, want = oracles.first_faulty_egg(*plain_edges(G), eggs)
+        if fault is None:
+            S = make_scramble(G, eggs)
+            assert S.masks == tuple(sum(1 << v for v in egg) for egg in want)
+            return
+        with pytest.raises(ValueError) as info:
+            make_scramble(G, eggs)
+        assert str(info.value) == fault
 
     def test_make_scramble_reports_the_first_faulty_egg(self):
         with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce") as info:

@@ -60,15 +60,15 @@ def main():
         G = ex.graph
         h = uniform_hitting_number(G, ex.egg_size)
         e = uniform_egg_cut_number(G, ex.egg_size)
-        order = fmt_count(min(h, e))
+        order = min(h, e)
         if args.skip_gonality:
             gon = bound = "-"
         else:
-            gon = gonality_bruteforce(G).value
+            gon = gonality_bruteforce(G, lower=order).value
             bound = gonality_upper_by_separator(G).size
         print(
             f"{ex.name:<10} {G.n:>3} {ex.egg_size:>2} {h:>8} {fmt_count(e):>8}"
-            f" {order:>6} {gon:>9} {bound:>4}"
+            f" {fmt_count(order):>6} {gon:>9} {bound:>4}"
         )
 
 

@@ -52,6 +52,7 @@ from .scramble import (
     HittingSearchResult,
     Scramble,
     ScrambleFileError,
+    best_uniform_order,
     egg_cut_number,
     has_finite_egg_cut,
     hitting_number,

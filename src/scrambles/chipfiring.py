@@ -241,7 +241,7 @@ class GonalityResult:
     superstable_burns: int = field(compare=False)
 
 
-def gonality_bruteforce(G, max_degree=None):
+def gonality_bruteforce(G, max_degree=None, lower=0):
     """Smallest degree of a positive-rank divisor, by exact branch and
     bound over 0-reduced divisors.
 
@@ -265,6 +265,15 @@ def gonality_bruteforce(G, max_degree=None):
     are not 0-reduced, whose rank test is still exact because rank is a
     class invariant.
 
+    ``lower`` is a proven lower bound on the gonality, such as
+    ``scramble.best_uniform_order(G)``.  The search stops as soon as the
+    best degree reaches it, which skips the refutation of best - 1 that
+    otherwise visits every superstable below it.  No divisor of degree
+    below ``lower`` has positive rank, so the stop is exact: value and
+    witness are those of the unbounded search, and a cap below ``lower``
+    is exceeded with no rank test.  A ``lower`` above the gonality would
+    make the answer wrong.
+
     Returns the first 0-reduced positive-rank divisor of the minimal
     degree that the search meets.  The default degree cap is n, which is
     never the binding constraint on a connected graph.
@@ -275,6 +284,8 @@ def gonality_bruteforce(G, max_degree=None):
     cap = n if max_degree is None else max_degree
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
+    if cap < lower:
+        return GonalityResult(None, None, True, cap, 0, 0)
     pairs = G._pairs
     chips = [0] * n
     best = cap + 1
@@ -310,10 +321,10 @@ def gonality_bruteforce(G, max_degree=None):
         burns += 1
         return _burn(pairs, chips, 0)[2] == n
 
-    if best > 2:
+    if best > max(2, lower):
         lam = restricted_edge_connectivity(G, 1)
     t = 1
-    while t <= best - 2:
+    while t <= best - 2 and best > lower:
         for c in leaves(t, 1, 0):
             j = best - 1 - t
             while j >= 1:
@@ -326,7 +337,7 @@ def gonality_bruteforce(G, max_degree=None):
                 best, witness = t + j, tuple(c)
                 j -= 1
             c[0] = 0
-            if t > best - 2:
+            if t > best - 2 or best <= lower:
                 break
         t += 1
 

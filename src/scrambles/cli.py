@@ -210,7 +210,9 @@ def _cmd_scramble(args):
 def _cmd_gonality(args):
     G = graphs.parse_edge_list(_read(args.file))
     if args.gonality_command == "brute":
-        result = chipfiring.gonality_bruteforce(G, args.max_degree)
+        result = chipfiring.gonality_bruteforce(
+            G, args.max_degree, lower=scramble.best_uniform_order(G)
+        )
         if result.exceeded_cap:
             print(f"no positive-rank divisor up to degree {result.max_degree}",
                   file=sys.stderr)

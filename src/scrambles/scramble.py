@@ -591,3 +591,23 @@ def uniform_order_via_invariants(G, k):
     invariants alone."""
     G._check_connected()
     return min(uniform_egg_cut_number(G, k), uniform_hitting_number(G, k))
+
+
+def best_uniform_order(G):
+    """The largest order of a uniform scramble on a connected graph,
+    max over k of min(lambda_k, n - alpha_{k-1}): a lower bound on the
+    scramble number, and so on the gonality.
+
+    The hitting number n - alpha_{k-1} never increases in k, so once it
+    is at most the best order so far no later k can beat it; it is
+    computed first, and the loop stops at the first such k.
+    """
+    G._check_nonempty()
+    G._check_connected()
+    best = 0
+    for k in range(1, G.n + 1):
+        h = uniform_hitting_number(G, k)
+        if h <= best:
+            break
+        best = max(best, min(h, uniform_egg_cut_number(G, k)))
+    return best

@@ -398,6 +398,32 @@ class TestGonality:
         assert [r.superstable_burns for r in got] == [42, 360, 1815, 11622]
         assert [r.rank_tests for r in got] == [r.rank_tests for r in want] == [43, 288, 1383, 8589]
 
+    @given(connected_multigraphs(min_n=1, max_n=7, max_extra=6))
+    @settings(deadline=None, max_examples=40)
+    def test_a_lower_bound_changes_no_answer(self, G):
+        want = gonality_bruteforce(G)
+        for lower in range(want.value + 1):
+            got = gonality_bruteforce(G, lower=lower)
+            assert (got.value, got.witness) == (want.value, want.witness)
+            assert got.rank_tests <= want.rank_tests
+        capped = gonality_bruteforce(G, max_degree=want.value - 1, lower=want.value)
+        assert capped.exceeded_cap
+        assert (capped.rank_tests, capped.superstable_burns) == (0, 0)
+
+    def test_a_lower_bound_skips_the_refutation_on_named_graphs(self):
+        graphs = [hypercube(3), herschel_graph(), crown(6), crown(7)]
+        want = [gonality_bruteforce(G) for G in graphs]
+        got = [gonality_bruteforce(G, lower=r.value) for G, r in zip(graphs, want)]
+        assert [(r.value, r.witness) for r in got] == [(r.value, r.witness) for r in want]
+        assert [r.rank_tests for r in got] == [15, 61, 25, 29]
+
+    def test_a_cap_below_the_lower_bound_tests_nothing(self):
+        result = gonality_bruteforce(hypercube(3), max_degree=1, lower=4)
+        assert result == GonalityResult(None, None, True, 1, 0, 0)
+        assert (result.rank_tests, result.superstable_burns) == (0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            gonality_bruteforce(hypercube(3), max_degree=-1, lower=4)
+
     @given(connected_multigraphs(min_n=1, max_n=6, max_extra=6))
     @settings(deadline=None, max_examples=40)
     def test_skipping_every_burn_keeps_the_value(self, G):

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from scrambles import (
     Multigraph,
+    chipfiring,
     complete_graph,
     cycle_graph,
     egg_cut_number,
@@ -462,6 +463,52 @@ class TestGonality:
         assert lines[1].startswith("witness: ")
         chips = [int(tok) for tok in lines[1].split(":")[1].split()]
         assert len(chips) == 8 and sum(chips) == 4
+
+    @pytest.mark.parametrize("family", ["hypercube", "folded-cube"])
+    def test_brute_force_on_four_dimensional_cubes(self, graph_file, capsys, family):
+        path = graph_file(family, "4")
+        capsys.readouterr()
+        assert run_cli(["gonality", "brute", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "8"
+        witness = [int(tok) for tok in lines[1].removeprefix("witness: ").split()]
+        assert sum(witness) == 8
+        assert oracles.has_positive_rank_dhar(*plain_edges(generate(family, (4,))), witness)
+
+    @pytest.mark.parametrize(
+        "params, witness",
+        [
+            (("hypercube", "3"), "3 0 0 0 0 0 0 1"),
+            (("herschel",), "3 0 0 0 0 1 0 0 0 0 1"),
+            (("crown", "6"), "5 0 0 0 0 0 1 0 0 0 0 0"),
+            (("crown", "7"), "6 0 0 0 0 0 0 1 0 0 0 0 0 0"),
+        ],
+    )
+    def test_brute_force_prints_the_pinned_witness(self, graph_file, capsys, params, witness):
+        # the library's unbounded search pins the same witnesses
+        path = graph_file(*params)
+        capsys.readouterr()
+        assert run_cli(["gonality", "brute", path]) == 0
+        captured = capsys.readouterr()
+        value = sum(map(int, witness.split()))
+        assert captured.out == f"{value}\nwitness: {witness}\n"
+        assert captured.err == ""
+
+    def test_brute_force_stops_at_the_uniform_lower_bound(self, graph_file, capsys, monkeypatch):
+        # unseeded, the search spends 8,589 and 52,071 rank tests here,
+        # nearly all of them refuting a degree below the gonality
+        results = []
+        search = chipfiring.gonality_bruteforce
+
+        def spy(*args, **kwargs):
+            results.append(search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(chipfiring, "gonality_bruteforce", spy)
+        for params in (("crown", "7"), ("hypercube", "4")):
+            assert run_cli(["gonality", "brute", graph_file(*params)]) == 0
+        assert [r.value for r in results] == [7, 8]
+        assert [r.rank_tests for r in results] == [29, 3529]
 
     def test_degree_cap_exhausted(self, graph_file, capsys):
         path = graph_file("hypercube", "3")

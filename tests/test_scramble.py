@@ -15,6 +15,7 @@ from scrambles import (
     HittingSearchResult,
     Multigraph,
     ScrambleFileError,
+    best_uniform_order,
     complete_graph,
     cycle_graph,
     egg_cut_number,
@@ -322,7 +323,7 @@ class TestBatchedConnectivity:
         assert not isinstance(info.value, ScrambleFileError)
         with pytest.raises(ValueError, match="vertex 9 out of range"):
             make_scramble(cycle_graph(4), [{0, 1}, {9}, {0, 2}])
-        # a one-shot iterable is read once; the replay reads the same eggs
+        # a one-shot iterable is read once; the re-check reads the same eggs
         with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce"):
             make_scramble(cycle_graph(4), iter([{0, 1}, {0, 2}, set()]))
 
@@ -733,3 +734,24 @@ class TestOrder:
     def test_formula_needs_a_connected_graph(self):
         with pytest.raises(ValueError, match="connected"):
             uniform_order_via_invariants(Multigraph(4, [(0, 1), (2, 3)]), 2)
+
+    @given(connected_multigraphs(min_n=1, max_n=8, max_extra=6))
+    @settings(deadline=None, max_examples=40)
+    def test_best_uniform_order_against_eggs_and_gonality(self, G):
+        # the egg-level engines see every k, with no early stop; the
+        # gonality oracle shares no code with either side
+        bound = best_uniform_order(G)
+        orders = [scramble_order(uniform_scramble(G, k)) for k in range(1, G.n + 1)]
+        assert bound == max(orders)
+        n, edges = plain_edges(G)
+        assert bound <= oracles.gonality_lexicographic(n, edges, n)[0]
+
+    def test_best_uniform_order_on_named_graphs(self):
+        graphs = [hypercube(3), herschel_graph(), hypercube(4), folded_cube(4)]
+        assert [best_uniform_order(G) for G in graphs] == [4, 5, 8, 8]
+
+    def test_best_uniform_order_argument_checks(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            best_uniform_order(Multigraph(0, []))
+        with pytest.raises(ValueError, match="connected"):
+            best_uniform_order(Multigraph(4, [(0, 1), (2, 3)]))

@@ -1,5 +1,6 @@
 """Theorem hypothesis checkers and their reports."""
 
+import inspect
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from scrambles import (
     verify_girth_family,
     verify_main,
     uniform_scramble,
+    verify,
     verify_order_ek,
 )
 from scrambles.verify import _gonality_cross_check
@@ -336,6 +338,22 @@ class TestReports:
         check = _gonality_cross_check(cycle_graph(4), claimed, 16)
         assert check.status == "mismatch"
         assert check.value == found
+
+    def test_cross_check_passes_no_lower_bound(self, monkeypatch):
+        # the brute force checks values that the scramble engines give,
+        # so it must not start from a bound that they computed
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(gonality_bruteforce).bind(*args, **kwargs).arguments)
+            return gonality_bruteforce(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "gonality_bruteforce", spy)
+        assert _gonality_cross_check(herschel_graph(), 5, 16).status == "verified"
+        assert _gonality_cross_check(herschel_graph(), None, 16).status == "informational"
+        assert verify_main(herschel_graph(), 4).cross_check.status == "verified"
+        assert len(calls) == 3
+        assert all("lower" not in arguments for arguments in calls)
 
     def test_json_encodes_infinite_counts(self):
         # a tree has infinite girth, so the main check reports girth=inf

@@ -210,9 +210,12 @@ def _cmd_scramble(args):
 def _cmd_gonality(args):
     G = graphs.parse_edge_list(_read(args.file))
     if args.gonality_command == "brute":
-        result = chipfiring.gonality_bruteforce(
-            G, args.max_degree, lower=scramble.best_uniform_order(G)
-        )
+        # the bound stops once it passes the cap, which then cannot be met
+        lower = 0
+        for lower in scramble._uniform_orders_so_far(G):
+            if args.max_degree is not None and lower > args.max_degree:
+                break
+        result = chipfiring.gonality_bruteforce(G, args.max_degree, lower=lower)
         if result.exceeded_cap:
             print(f"no positive-rank divisor up to degree {result.max_degree}",
                   file=sys.stderr)

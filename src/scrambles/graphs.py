@@ -320,6 +320,8 @@ class Multigraph:
 # -- connected subset enumeration --------------------------------------
 
 _ONES_FIRST = str.maketrans("01", "10")  # so "1" sorts before "0"
+# _BYTE_REVERSED[b] is the byte b with its eight bits in reverse order
+_BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 
 def _lex_sorted(masks):
@@ -327,7 +329,9 @@ def _lex_sorted(masks):
     lexicographic by ascending vertex tuple.  The key spells a mask in
     binary from vertex 0 to its largest member, "1" before "0", so at the
     first vertex where two sets differ the one holding it wins, unless
-    the other has no member left there and, as a prefix, is shorter."""
+    the other has no member left there and, as a prefix, is shorter.
+    Eggs of mixed sizes need this key; ``enumerate_connected_subsets``,
+    whose sets share one size, sorts by a cheaper one."""
     return sorted(masks, key=lambda mask: bin(mask)[:1:-1].translate(_ONES_FIRST))
 
 
@@ -336,9 +340,19 @@ def enumerate_connected_subsets(G, k):
     once, sorted lexicographically by ascending vertex tuple.
 
     Grows sets from their minimum vertex; a candidate frontier restricted
-    to unseen higher-numbered vertices guarantees uniqueness.  A set one
-    vertex short is completed by each frontier vertex in turn, with no
-    call per leaf.
+    to unseen higher-numbered vertices guarantees uniqueness.  A node
+    still ``need`` vertices short can add them only from its frontier or
+    from the vertices above the root not yet seen, so it returns once
+    those are fewer than ``need``; for the same reason only roots below
+    n - k + 1 are tried.  A set two vertices short is completed in place,
+    each frontier vertex followed by each later candidate, with no call
+    per set.
+
+    All sets have k vertices, so the lexicographic order is the
+    descending order of the masks read with their bits reversed: at the
+    first vertex where two sets differ, the one holding it comes first,
+    since a set of equal size cannot be a prefix of the other.  The sort
+    key reverses the bits of each byte of the little-endian mask.
     """
     n = G.n
     G._check_subset_size(k)
@@ -346,31 +360,42 @@ def enumerate_connected_subsets(G, k):
     found = []
     append = found.append
 
-    for root in range(n):
-        above = -1 << (root + 1)
+    def extend(sub, need, ext, seen):
+        unseen = (above & ~seen).bit_count()
+        while ext:
+            if ext.bit_count() + unseen < need:
+                return
+            wbit = ext & -ext
+            ext ^= wbit
+            fresh = nbr[wbit.bit_length() - 1] & above & ~seen
+            if need == 2:
+                sub2 = sub | wbit
+                last = ext | fresh
+                while last:
+                    xbit = last & -last
+                    last ^= xbit
+                    append(sub2 | xbit)
+            else:
+                extend(sub | wbit, need - 1, ext | fresh, seen | fresh)
+
+    for root in range(n - k + 1):
+        above = (1 << n) - (2 << root)
         sub0 = 1 << root
         ext0 = nbr[root] & above
         if k == 1:
             append(sub0)
-            continue
+        elif k == 2:
+            while ext0:
+                wbit = ext0 & -ext0
+                ext0 ^= wbit
+                append(sub0 | wbit)
+        else:
+            extend(sub0, k - 1, ext0, sub0 | ext0)
 
-        def extend(sub, size, ext, seen):
-            if size == k - 1:
-                while ext:
-                    wbit = ext & -ext
-                    ext ^= wbit
-                    append(sub | wbit)
-                return
-            while ext:
-                wbit = ext & -ext
-                ext ^= wbit
-                w = wbit.bit_length() - 1
-                fresh = nbr[w] & above & ~seen
-                extend(sub | wbit, size + 1, ext | fresh, seen | fresh)
-
-        extend(sub0, 1, ext0, sub0 | ext0)
-
-    return _lex_sorted(found)
+    size = (n + 7) // 8
+    return sorted(
+        found, key=lambda mask: mask.to_bytes(size, "little").translate(_BYTE_REVERSED), reverse=True
+    )
 
 
 # -- edge-list documents ------------------------------------------------

@@ -22,8 +22,8 @@ deepening searches share one node counter, deadline and progress line
 
 Eggs read from a file or handed to ``make_scramble`` are checked
 connected all at once, over the incidence their ``Scramble`` builds
-then and keeps for the engines; only on a fault are they checked again
-one at a time, to name the first faulty one.
+then and keeps for the engines; only on a fault are they read again,
+to name the first faulty one.
 """
 
 import sys
@@ -31,6 +31,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .graphs import (
     INF,
@@ -91,22 +92,35 @@ def _checked_scramble(G, rows, mask_of, disconnected):
     of the rows ``rows()`` yields, checked connected in one
     ``_disconnected`` sweep over the incidence the scramble keeps.
 
-    On any fault, a disconnected egg included, the rows are read again
-    and each is checked alone, by ``mask_of`` and ``G._mask_connected``:
-    the first faulty row raises its refusal or ``disconnected(row)``.
-    If none fails alone, the fault came from reading the rows, and is
-    raised as it was.
+    On a fault the rows are read again to name the first faulty row.
+    When the sweep found disconnected eggs, that is the first row whose
+    mask is one of them: it raises ``disconnected(row)``.  When
+    ``mask_of`` refused a row, one sweep over the masks of the rows
+    before it says whether one of those comes first; if none does, the
+    refusal is raised as it was, as is a fault in reading the rows.
     """
     try:
         S = Scramble(G, tuple(_lex_sorted(set(map(mask_of, rows())))))
-        if S.masks and _disconnected(G, S._egg_incidence[0]):
-            raise ValueError("egg does not induce a connected subgraph")
-        return S
     except Exception:
-        for row in rows():
-            if not G._mask_connected(mask_of(row)):
-                raise disconnected(row) from None
+        read = []
+        try:
+            for row in rows():
+                read.append(mask_of(row))
+        except Exception:
+            pass
+        bad = _disconnected(G, _incidence(read, G.n)) if read else 0
+        if bad:
+            first = (bad & -bad).bit_length() - 1
+            raise disconnected(next(islice(rows(), first, None))) from None
         raise
+    if S.masks:
+        bad = _disconnected(G, S._egg_incidence[0])
+        if bad:
+            bad = {S.masks[i] for i in _bits(bad)}
+            for row in rows():
+                if mask_of(row) in bad:
+                    raise disconnected(row)
+    return S
 
 
 def make_scramble(G, eggs):
@@ -389,13 +403,13 @@ def hitting_search(S, target=None, budget=None, progress=None):
     search = _Deepening(budget, progress)
     tick = search.tick
     masks = S.masks
-    n = S.graph.n
 
     def greedy_cover():
         chosen = []
         uncovered = every
         while uncovered:
-            pick = max(range(n), key=lambda v: (uncovered & inc[v]).bit_count())
+            counts = [(uncovered & row).bit_count() for row in inc]
+            pick = counts.index(max(counts))
             chosen.append(pick)
             uncovered &= outside[pick]
         return chosen
@@ -410,14 +424,20 @@ def hitting_search(S, target=None, budget=None, progress=None):
                 rest &= outside[v]
         return count
 
-    greedy = greedy_cover()
-    sizes = _sliced_sum(inc)
+    greedy = sizes = None
 
     def decide(size_cap):
         """A hitting set of size <= size_cap, or None if none exists; the
-        greedy cover, with no search, once it fits."""
+        greedy cover, with no search, once it fits.  The cover and the
+        sliced egg sizes are built when first needed, so a run that the
+        packing bound settles builds neither."""
+        nonlocal greedy, sizes
+        if greedy is None:
+            greedy = greedy_cover()
         if size_cap >= len(greedy):
             return greedy
+        if sizes is None:
+            sizes = _sliced_sum(inc)
 
         def walk(uncovered, banned, counts, chosen):
             tick()
@@ -593,14 +613,14 @@ def uniform_order_via_invariants(G, k):
     return min(uniform_egg_cut_number(G, k), uniform_hitting_number(G, k))
 
 
-def best_uniform_order(G):
-    """The largest order of a uniform scramble on a connected graph,
-    max over k of min(lambda_k, n - alpha_{k-1}): a lower bound on the
-    scramble number, and so on the gonality.
+def _uniform_orders_so_far(G):
+    """The running best of ``best_uniform_order``: the largest uniform
+    order over k = 1, 2, ..., yielded after each k, so a caller may stop
+    once the bound it has is enough.
 
     The hitting number n - alpha_{k-1} never increases in k, so once it
     is at most the best order so far no later k can beat it; it is
-    computed first, and the loop stops at the first such k.
+    computed first, and the walk ends at the first such k.
     """
     G._check_nonempty()
     G._check_connected()
@@ -608,6 +628,16 @@ def best_uniform_order(G):
     for k in range(1, G.n + 1):
         h = uniform_hitting_number(G, k)
         if h <= best:
-            break
+            return
         best = max(best, min(h, uniform_egg_cut_number(G, k)))
+        yield best
+
+
+def best_uniform_order(G):
+    """The largest order of a uniform scramble on a connected graph,
+    max over k of min(lambda_k, n - alpha_{k-1}): a lower bound on the
+    scramble number, and so on the gonality."""
+    best = 0
+    for best in _uniform_orders_so_far(G):
+        pass
     return best

@@ -25,8 +25,9 @@ def connected_multigraphs(draw, min_n=2, max_n=7, max_extra=5, min_extra=0):
 
 @st.composite
 def disjoint_unions(draw, max_n=4):
-    """Two connected multigraphs side by side, the second renumbered
-    after the first."""
+    """Two connected multigraphs of 2 to ``max_n`` vertices each, side by
+    side, the second renumbered after the first; ``max_n=5`` reaches 10
+    vertices, past the first byte of a vertex mask."""
     first = draw(connected_multigraphs(max_n=max_n))
     second = draw(connected_multigraphs(max_n=max_n))
     shifted = [(u + first.n, v + first.n) for u, v in second.edge_list()]

@@ -17,6 +17,7 @@ from scrambles import (
     egg_cut_number,
     generate,
     hypercube,
+    invariants,
     scramble_order,
     uniform_scramble,
 )
@@ -517,6 +518,25 @@ class TestGonality:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "degree 1" in captured.err
+
+    def test_degree_cap_stops_the_uniform_bound(self, graph_file, capsys, monkeypatch):
+        # at k = 1 the bound is min(32, lambda_1 = 5) = 5, already above
+        # the cap, so no alpha_{k-1} with k >= 2 is computed
+        path = graph_file("hypercube", "5")
+        capsys.readouterr()
+        limits = []
+        search = invariants.max_component_independent_set
+
+        def spy(G, limit, *args, **kwargs):
+            limits.append(limit)
+            return search(G, limit, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "max_component_independent_set", spy)
+        assert run_cli(["gonality", "brute", path, "--max-degree", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no positive-rank divisor up to degree 3\n"
+        assert limits == [0]
 
     def test_check_positive_rank(self, graph_file, write, capsys):
         path = graph_file("complete-bipartite", "2", "3")

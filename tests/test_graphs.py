@@ -32,6 +32,7 @@ from scrambles import (
     path_graph,
     random_connected_multigraph,
 )
+from scrambles.graphs import _lex_sorted
 from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
 
 TRIANGLE_DOC = "3 3\n0 1\n1 2\n0 2\n"
@@ -386,3 +387,40 @@ class TestConnectedSubsets:
         for k in range(1, 7):
             expected = len(list(itertools.combinations(range(6), k)))
             assert len(enumerate_connected_subsets(G, k)) == expected
+
+    @given(st.one_of(connected_multigraphs(max_n=10), disjoint_unions(max_n=5)))
+    @settings(deadline=None, max_examples=60)
+    def test_every_size_matches_filter_oracle(self, G):
+        # disjoint unions leave sizes that no component reaches, and
+        # n above 8 spreads the sort key over two bytes
+        n, edges = plain_edges(G)
+        for k in range(1, n + 1):
+            fast = enumerate_connected_subsets(G, k)
+            assert [tuple(sorted(vertex_set(s))) for s in fast] == oracles.connected_ksubsets(n, edges, k)
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 12, 17])
+    def test_equal_size_order_is_the_canonical_order(self, n):
+        # on a complete graph every k-set is connected, so the
+        # equal-size key must order all of them as the general one does
+        G = complete_graph(n)
+        rng = random.Random(n)
+        for k in range(1, n + 1):
+            subsets = enumerate_connected_subsets(G, k)
+            shuffled = rng.sample(subsets, len(subsets))
+            assert _lex_sorted(shuffled) == subsets
+
+    def test_five_cube_six_sets(self):
+        subsets = enumerate_connected_subsets(hypercube(5), 6)
+        assert len(subsets) == 25312
+        assert _lex_sorted(subsets[::-1]) == subsets
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 11])
+    def test_star_centred_on_the_last_vertex(self, n):
+        # every set reaches its higher vertices only through vertex n - 1,
+        # and the last root, n - 2, holds the pair {n - 2, n - 1}
+        G = Multigraph(n, [(v, n - 1) for v in range(n - 1)])
+        assert enumerate_connected_subsets(G, 2) == [1 << v | 1 << (n - 1) for v in range(n - 1)]
+        for k in range(2, n + 1):
+            assert len(enumerate_connected_subsets(G, k)) == len(
+                list(itertools.combinations(range(n - 1), k - 1))
+            )

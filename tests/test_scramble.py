@@ -259,6 +259,31 @@ class TestParsing:
         assert info.value.line == line
         assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
+    def test_fault_sweeps_only_the_rows_before_it(self, monkeypatch):
+        builds = []
+        original = scramble._incidence
+
+        def recording(masks, n):
+            builds.append(list(masks))
+            return original(masks, n)
+
+        def one_at_a_time(self, mask):
+            raise AssertionError("egg checked alone")
+
+        monkeypatch.setattr(scramble, "_incidence", recording)
+        monkeypatch.setattr(Multigraph, "_mask_connected", one_at_a_time)
+        G = cycle_graph(4)
+        with pytest.raises(ScrambleFileError, match="integers") as info:
+            parse_scramble("0 1\n1 2\n0 1\n2 x\n2 3\n", G)
+        assert info.value.line == 4
+        assert builds == [[0b0011, 0b0110, 0b0011]]
+        # a disconnected egg is named from the scramble's own sweep
+        builds.clear()
+        with pytest.raises(ScrambleFileError, match="connected") as info:
+            parse_scramble("1 2\n0 2\n0 1\n0 2\n", G)
+        assert info.value.line == 2
+        assert builds == [[0b0011, 0b0101, 0b0110]]
+
     def test_odd_tokens_parse_as_integers(self):
         S = parse_scramble("00 +1\n1\t2\n", cycle_graph(4))
         assert S.masks == (0b0011, 0b0110)
@@ -487,6 +512,40 @@ class TestHitting:
         assert not result.complete
         assert result.proved_lower == 8
         assert result.nodes == 76
+
+    def test_egg_sizes_are_sliced_only_for_a_walk(self, monkeypatch):
+        slicings = []
+        original = scramble._sliced_sum
+
+        def recording(rows):
+            slicings.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(scramble, "_sliced_sum", recording)
+        # the edges of a 6-cycle: three disjoint ones prove 3, above the
+        # egg cut of 2, so the order needs no decision at all
+        S = uniform_scramble(cycle_graph(6), 2)
+        assert scramble_order(S) == 2
+        # without a target the greedy cover {0, 2, 4} meets the bound
+        result = hitting_search(S)
+        assert (result.optimum, result.witness, result.nodes) == (3, {0, 2, 4}, 0)
+        assert slicings == []
+        # Herschel's 3-sets need a walk (the pinned 13 nodes)
+        assert hitting_search(uniform_scramble(herschel_graph(), 3)).nodes == 13
+        assert slicings == [11]
+
+    @given(st.one_of(connected_multigraphs(max_n=8, max_extra=8), disjoint_unions(max_n=5)), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_uniform_scrambles_match_exhaustive_oracle(self, G, data):
+        n, edges = plain_edges(G)
+        k = data.draw(st.integers(1, n))
+        eggs = [set(egg) for egg in oracles.connected_ksubsets(n, edges, k)]
+        assume(eggs)
+        result = hitting_search(uniform_scramble(G, k))
+        assert result.complete
+        assert result.optimum == oracles.hitting_exhaustive(n, eggs)
+        assert len(result.witness) == result.optimum
+        assert all(result.witness & egg for egg in eggs)
 
 
 class TestUniformHittingSearch:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input file, 3 resource
-cap exceeded.
+Exit codes: 0 success, 1 usage error, 2 invalid or unreadable input
+file or unwritable output file, 3 resource cap exceeded.
 """
 
 import argparse
@@ -100,8 +100,12 @@ def _cmd_gen(args):
     graph = graphs.generate(args.family, args.params)
     text = graphs.format_edge_list(graph)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -135,10 +135,9 @@ def restricted_edge_connectivity(G, k):
 def min_connected_outdegree(G, k):
     """Smallest outdegree over connected k-vertex subsets; INF when the
     graph has no connected k-subset."""
-    subsets = enumerate_connected_subsets(G, k)
-    if not subsets:
+    if k > G.n:
         return INF
-    return min(map(G._outdegree_mask, subsets))
+    return min(map(G._outdegree_mask, enumerate_connected_subsets(G, k)), default=INF)
 
 
 def max_component_independent_set(G, limit, floor=None, tick=None):

@@ -20,10 +20,10 @@ asking at each size s whether alpha_{k-1} exceeds n - s - 1; both
 deepening searches share one node counter, deadline and progress line
 (``_Deepening``).
 
-Eggs read from a file or handed to ``make_scramble`` are checked
-connected all at once, over the incidence their ``Scramble`` builds
-then and keeps for the engines; only on a fault are they read again,
-to name the first faulty one.
+Eggs read from a file or handed to ``make_scramble`` are read once and
+checked connected all at once, over the incidence their ``Scramble``
+builds then and keeps for the engines; a fault is named at the first
+faulty egg from the masks already read.
 """
 
 import sys
@@ -89,38 +89,29 @@ class Scramble:
 
 def _checked_scramble(G, rows, mask_of, disconnected):
     """The canonical scramble on G of the distinct masks ``mask_of`` makes
-    of the rows ``rows()`` yields, checked connected in one
-    ``_disconnected`` sweep over the incidence the scramble keeps.
+    of the rows ``rows()`` yields, read once and checked connected in one
+    ``_disconnected`` sweep.
 
-    On a fault the rows are read again to name the first faulty row.
-    When the sweep found disconnected eggs, that is the first row whose
-    mask is one of them: it raises ``disconnected(row)``.  When
-    ``mask_of`` refused a row, one sweep over the masks of the rows
-    before it says whether one of those comes first; if none does, the
-    refusal is raised as it was, as is a fault in reading the rows.
+    A fault is raised at the first faulty row.  Reading stops at a row
+    ``mask_of`` refuses (or at a fault in ``rows``), and that refusal is
+    raised unless a disconnected mask among those read comes first.
     """
+    masks = []
     try:
-        S = Scramble(G, tuple(_lex_sorted(set(map(mask_of, rows())))))
+        masks.extend(map(mask_of, rows()))  # keeps the masks read before a fault
     except Exception:
-        read = []
-        try:
-            for row in rows():
-                read.append(mask_of(row))
-        except Exception:
-            pass
-        bad = _disconnected(G, _incidence(read, G.n)) if read else 0
-        if bad:
-            first = (bad & -bad).bit_length() - 1
-            raise disconnected(next(islice(rows(), first, None))) from None
-        raise
-    if S.masks:
-        bad = _disconnected(G, S._egg_incidence[0])
-        if bad:
-            bad = {S.masks[i] for i in _bits(bad)}
-            for row in rows():
-                if mask_of(row) in bad:
-                    raise disconnected(row)
-    return S
+        bad = _disconnected(G, _incidence(masks, G.n)) if masks else 0
+        if not bad:
+            raise
+        first = next(_bits(bad))
+    else:
+        S = Scramble(G, tuple(_lex_sorted(set(masks))))
+        bad = _disconnected(G, S._egg_incidence[0]) if S.masks else 0
+        if not bad:
+            return S
+        bad = {S.masks[i] for i in _bits(bad)}
+        first = next(i for i, mask in enumerate(masks) if mask in bad)
+    raise disconnected(next(islice(rows(), first, None)))
 
 
 def make_scramble(G, eggs):

@@ -216,7 +216,7 @@ def _girth4a(G):
     n = G.n
     triangle_free = _triangle_free(G)
     delta = G.min_valence()
-    xi3 = min_connected_outdegree(G, 3) if n >= 3 else INF
+    xi3 = min_connected_outdegree(G, 3)
     return [
         triangle_free,
         HypothesisCheck("min_valence_at_least_3", delta >= 3, f"delta={delta}"),

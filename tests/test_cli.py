@@ -82,6 +82,14 @@ class TestGen:
         assert captured.out == ""
         assert "more than 64 vertices" in captured.err
 
+    @pytest.mark.parametrize("target", ["missing/x.edges", "."])
+    def test_unwritable_output_is_a_write_fault(self, tmp_path, target, capsys):
+        # a missing directory, then a directory in place of a file
+        assert run_cli(["gen", "hypercube", "3", "-o", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write output: ")
+
     def test_64_vertices_round_trip_through_info(self, graph_file, capsys):
         path = graph_file("hypercube", "6")
         capsys.readouterr()
@@ -144,6 +152,12 @@ class TestInvariant:
         capsys.readouterr()
         assert run_cli(["invariant", "xi-k", "5", path]) == 0
         assert capsys.readouterr().out.strip() == "6"
+
+    def test_connected_outdegree_beyond_n_is_inf(self, graph_file, capsys):
+        path = graph_file("path", "3")
+        capsys.readouterr()
+        assert run_cli(["invariant", "xi-k", "4", path]) == 0
+        assert capsys.readouterr().out.strip() == "inf"
 
     def test_component_independence(self, graph_file, capsys):
         path = graph_file("herschel")

@@ -80,6 +80,9 @@ class TestMultigraph:
         assert G.is_connected_set({1, 2, 3})
         assert not G.is_connected_set({0, 2})
 
+    def test_empty_mask_is_not_connected(self):
+        assert not path_graph(3)._mask_connected(0)
+
     def test_outdegree(self):
         G = cycle_graph(4)
         assert G.outdegree({0}) == 2

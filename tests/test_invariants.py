@@ -22,6 +22,8 @@ from scrambles import (
     hitting_number,
     hypercube,
     independence_number,
+    invariants,
+    make_scramble,
     max_component_independent_set,
     min_connected_outdegree,
     path_graph,
@@ -92,6 +94,14 @@ class TestRestrictedConnectivity:
         assert egg_cut_number(uniform_scramble(Q5, 2)) == 8
 
 
+class TestSplitSearch:
+    def test_no_egg_split_when_every_egg_holds_the_root(self):
+        # egg_cut_number settles this case before it calls the search
+        S = make_scramble(path_graph(3), [{0, 1}, {0, 1, 2}])
+        _, every, out = S._egg_incidence
+        assert invariants._min_split(S.graph, 0b111, out=out, every=every) == INF
+
+
 class TestConnectedOutdegree:
     def test_herschel_xi_values(self):
         H = herschel_graph()
@@ -106,6 +116,13 @@ class TestConnectedOutdegree:
     def test_no_connected_k_subset_is_infinite(self):
         # two disjoint edges have no connected 3-set
         assert min_connected_outdegree(Multigraph(4, [(0, 1), (2, 3)]), 3) == INF
+
+    def test_beyond_n_is_infinite(self):
+        assert min_connected_outdegree(path_graph(3), 4) == INF
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="out of range"):
+            min_connected_outdegree(path_graph(3), 0)
 
     def test_herschel_is_lambda3_optimal(self):
         # lambda_3 is realised by the edges around one connected 3-set

@@ -284,6 +284,57 @@ class TestParsing:
         assert info.value.line == 2
         assert builds == [[0b0011, 0b0101, 0b0110]]
 
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The line numbers each pass over a file's content rows yielded,
+        and those of the rows handed to ``mask_of``, in call order."""
+        passes, masked = [], []
+        content_rows, checked = scramble._content_rows, scramble._checked_scramble
+
+        def recording_rows(text, error):
+            passes.append([])
+            for row in content_rows(text, error):
+                passes[-1].append(row[0])
+                yield row
+
+        def recording_check(G, rows, mask_of, disconnected):
+            def counted(row):
+                masked.append(row[0])
+                return mask_of(row)
+
+            return checked(G, rows, counted, disconnected)
+
+        monkeypatch.setattr(scramble, "_content_rows", recording_rows)
+        monkeypatch.setattr(scramble, "_checked_scramble", recording_check)
+        return passes, masked
+
+    def test_valid_file_is_read_once(self, reads):
+        S = uniform_scramble(herschel_graph(), 3)
+        text = "# eggs\n" + "".join(" ".join(map(str, sorted(egg))) + "\n" for egg in S.eggs * 2)
+        assert parse_scramble(text, S.graph).masks == S.masks
+        lines = list(range(2, 2 + 2 * len(S)))
+        assert reads == ([lines], lines)
+
+    def test_refused_line_stops_the_reading(self, reads):
+        with pytest.raises(ScrambleFileError, match="integers") as info:
+            parse_scramble("0 1\n1 2\n2 x\n0 2\n2 3\n", cycle_graph(4))
+        assert info.value.line == 3
+        assert reads == ([[1, 2, 3]], [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "text, line, masked",
+        [
+            ("0 1\n0 2\n1 2\n0 2\n2 3\n", 2, [1, 2, 3, 4, 5]),
+            ("1 2\n\n0 2\n0 x\n", 3, [1, 3, 4]),
+        ],
+    )
+    def test_disconnected_egg_is_named_without_new_masks(self, reads, text, line, masked):
+        # the only re-read fetches the named row
+        with pytest.raises(ScrambleFileError, match="connected") as info:
+            parse_scramble(text, cycle_graph(4))
+        assert info.value.line == line
+        assert reads == ([masked, masked[: masked.index(line) + 1]], masked)
+
     def test_odd_tokens_parse_as_integers(self):
         S = parse_scramble("00 +1\n1\t2\n", cycle_graph(4))
         assert S.masks == (0b0011, 0b0110)

@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from . import chipfiring, graphs, scramble, verify
-from .graphs import InputFormatError, fmt_count
+from .graphs import INF, InputFormatError, fmt_count
 from .invariants import compute_invariant
 
 
@@ -164,17 +164,18 @@ def _cmd_scramble_uniform(args):
             def progress(message):
                 print(message, file=sys.stderr, flush=True)
 
+        target = INF if args.prove_at_least is None else args.prove_at_least
         result = scramble.uniform_hitting_search(
             G,
             args.k,
-            target=args.prove_at_least,
-            budget=args.budget,
+            target=target,
+            budget=INF if args.budget is None else args.budget,
             progress=progress,
         )
         if result.optimum is not None:
             print(result.optimum)
             return 0
-        if args.prove_at_least is not None and result.proved_lower >= args.prove_at_least:
+        if result.proved_lower >= target:
             print(f"hitting number >= {result.proved_lower}")
             return 0
         print(f"hitting number >= {result.proved_lower} (search incomplete)")

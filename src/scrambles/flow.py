@@ -3,10 +3,10 @@ shortest-augmenting-path max flow: ``min_edge_cut`` between two
 vertices, and ``_max_flow`` between whole eggs for the direct side of
 ``verify order-ek``."""
 
-from .graphs import _bits
+from .graphs import INF, _bits
 
 
-def _max_flow(G, source_mask, sink_mask, limit=None):
+def _max_flow(G, source_mask, sink_mask, limit=INF):
     """Max flow = min cut between two disjoint vertex sets, by BFS
     augmenting paths.
 
@@ -14,15 +14,15 @@ def _max_flow(G, source_mask, sink_mask, limit=None):
     Each search starts from every source vertex at once and stops at the
     first sink vertex it reaches, as if a super-source fed the sources
     and the sinks drained into a super-sink; edges inside either set
-    never carry flow.  With ``limit`` the search stops once the flow
-    reaches it, so the result is exact below the limit and equals it
-    otherwise.
+    never carry flow.  The search stops once the flow reaches ``limit``
+    (INF, no limit, by default), so the result is exact below the limit
+    and equals it otherwise.
     """
     n = G.n
     residual = [dict(pairs) for pairs in G._pairs]
     sources = list(_bits(source_mask))
     flow = 0
-    while limit is None or flow < limit:
+    while flow < limit:
         parent = [None] * n
         for s in sources:
             parent[s] = s
@@ -41,15 +41,12 @@ def _max_flow(G, source_mask, sink_mask, limit=None):
                 break
         if sink is None:
             break
-        push = None
+        push = limit - flow
         v = sink
         while parent[v] != v:
             u = parent[v]
-            cap = residual[u][v]
-            push = cap if push is None else min(push, cap)
+            push = min(push, residual[u][v])
             v = u
-        if limit is not None:
-            push = min(push, limit - flow)
         v = sink
         while parent[v] != v:
             u = parent[v]

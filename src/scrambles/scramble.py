@@ -222,10 +222,10 @@ class _Deepening:
     starts when the object is made."""
 
     def __init__(self, budget, progress):
-        if budget is not None and not budget >= 0:  # also refuses NaN
+        if not budget >= 0:  # also refuses NaN
             raise ValueError(f"budget must be a number of seconds >= 0, got {budget}")
         self.start = time.monotonic()
-        self.deadline = None if budget is None else self.start + budget
+        self.deadline = self.start + budget
         self.progress = progress
         self.ping = self.start + 5.0
         self.nodes = 0
@@ -234,9 +234,9 @@ class _Deepening:
     def tick(self):
         """Count a node; raise ``_Deadline`` once the budget is spent."""
         self.nodes += 1
-        if self.deadline is not None or self.progress is not None:
+        if self.deadline < INF or self.progress is not None:
             now = time.monotonic()
-            if self.deadline is not None and now > self.deadline:
+            if now > self.deadline:
                 raise _Deadline
             if self.progress is not None and now >= self.ping:
                 self.ping = now + 5.0
@@ -251,7 +251,7 @@ class _Deepening:
         ``target`` is proven, or the deadline passes."""
         optimum = witness = None
         try:
-            while target is None or proved < target:
+            while proved < target:
                 self.size = proved
                 hit = decide(proved)
                 if hit is not None:
@@ -372,7 +372,7 @@ def _sliced_argmin(slices, eggs):
     return (eggs & -eggs).bit_length() - 1
 
 
-def hitting_search(S, target=None, budget=None, progress=None):
+def hitting_search(S, target=INF, budget=INF, progress=None):
     """Prove lower bounds on the hitting number until the optimum is
     found, ``target`` is reached, or ``budget`` seconds run out.
 
@@ -388,7 +388,8 @@ def hitting_search(S, target=None, budget=None, progress=None):
     banning v subtracts ``inc[v]`` with borrow, and the branching egg is
     found in one pass over the slices.
 
-    ``budget`` is None or a number of seconds >= 0 (inf included).
+    ``target`` is a number and ``budget`` a number of seconds >= 0; INF,
+    the default of both, means no limit.
     """
     inc, every, outside = S._egg_incidence
     search = _Deepening(budget, progress)
@@ -533,7 +534,7 @@ def egg_cut_number(S):
 def _order_with_cut(S, e):
     """min(hitting number, e), the hitting search stopping once e is a
     proven bound."""
-    optimum = hitting_search(S, target=None if e == INF else e).optimum
+    optimum = hitting_search(S, target=e).optimum
     return e if optimum is None else min(optimum, e)
 
 
@@ -562,7 +563,7 @@ def uniform_hitting_number(G, k):
     return G.n - invariants.component_independence_number(G, k - 1)
 
 
-def uniform_hitting_search(G, k, target=None, budget=None, progress=None):
+def uniform_hitting_search(G, k, target=INF, budget=INF, progress=None):
     """``hitting_search`` on the uniform k-scramble, deepening on
     alpha_{k-1} with no egg built.
 

@@ -326,7 +326,7 @@ def _egg_cut_by_pairs(S):
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:
             if not a & b:
-                best = min(best, _max_flow(S.graph, a, b, None if best == INF else best))
+                best = min(best, _max_flow(S.graph, a, b, best))
     return best
 
 

@@ -85,6 +85,11 @@ class TestMinSeparatingCut:
         G = cycle_graph(5)
         assert _max_flow(G, _mask({0}), _mask({2})) == min_edge_cut(G, 0, 2) == 2
 
+    def test_limit_caps_the_flow(self):
+        # one augmenting path along a triple edge would carry 3
+        G = Multigraph(2, [(0, 1)] * 3)
+        assert [_max_flow(G, 1, 2, limit) for limit in (0, 2, 3, 5)] == [0, 2, 3, 3]
+
     @given(connected_multigraphs(max_n=6), st.data())
     @settings(deadline=None)
     def test_matches_containment_bipartition_minimum(self, G, data):

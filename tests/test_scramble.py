@@ -16,11 +16,14 @@ from scrambles import (
     Multigraph,
     ScrambleFileError,
     best_uniform_order,
+    complete_bipartite,
     complete_graph,
+    crown,
     cycle_graph,
     egg_cut_number,
     enumerate_connected_subsets,
     folded_cube,
+    gonality_upper_by_separator,
     has_finite_egg_cut,
     herschel_graph,
     hitting_number,
@@ -38,9 +41,26 @@ from scrambles import (
     uniform_hitting_search,
     uniform_order_via_invariants,
     uniform_scramble,
+    verify_bipartite,
+    verify_girth_family,
+    verify_main,
 )
 from scrambles.scramble import Scramble
 from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
+
+
+# (name, graph, gonality) for members of the named families: closed
+# forms for K_n, K_{a,b} and cycles, and elsewhere the value at which
+# best_uniform_order (a lower bound) meets the separator (an upper one)
+PINNED_GONALITY = (
+    [(f"K{n}", complete_graph(n), n - 1) for n in range(3, 9)]
+    + [(f"K{a},{b}", complete_bipartite(a, b), a) for a in range(2, 5) for b in range(a, 6)]
+    + [(f"C{n}", cycle_graph(n), 2) for n in range(3, 10)]
+    + [(f"crown{m}", crown(m), gon) for m, gon in zip(range(3, 9), (2, 4, 5, 6, 7, 8))]
+    + [(f"Q{d}", hypercube(d), gon) for d, gon in ((2, 2), (3, 4), (4, 8))]
+    + [(f"folded{d}", folded_cube(d), gon) for d, gon in ((2, 3), (3, 4), (4, 8), (5, 16))]
+    + [("herschel", herschel_graph(), 5)]
+)
 
 
 def assert_masks_match_eggs(S):
@@ -474,6 +494,20 @@ class TestHitting:
         assert result.complete
         assert result.optimum == 2
 
+    def test_no_deadline_reads_the_clock_only_to_start_and_stop(self, monkeypatch):
+        # with no deadline and no progress lines, none of the 13 nodes
+        # reads the clock
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr("scrambles.scramble.time", types.SimpleNamespace(monotonic=monotonic))
+        result = hitting_search(uniform_scramble(herschel_graph(), 3), budget=float("inf"))
+        assert (result.optimum, result.nodes) == (5, 13)
+        assert len(reads) == 2
+
     def test_budget_is_honored(self):
         S = uniform_scramble(hypercube(4), 4)
         result = hitting_search(S, budget=0.2)
@@ -859,6 +893,37 @@ class TestOrder:
     def test_best_uniform_order_on_named_graphs(self):
         graphs = [hypercube(3), herschel_graph(), hypercube(4), folded_cube(4)]
         assert [best_uniform_order(G) for G in graphs] == [4, 5, 8, 8]
+
+    @pytest.mark.parametrize("G, want", [row[1:] for row in PINNED_GONALITY],
+                             ids=[row[0] for row in PINNED_GONALITY])
+    def test_sandwich_closes_on_named_families(self, G, want):
+        # L = U pins the gonality; up to 8 vertices the lexicographic
+        # oracle, which shares no code with either bound, pins it too
+        assert best_uniform_order(G) == gonality_upper_by_separator(G).size == want
+        if G.n <= 8:
+            n, edges = plain_edges(G)
+            assert oracles.gonality_lexicographic(n, edges, want)[0] == want
+
+    @pytest.mark.longrun
+    def test_sandwich_closes_on_q5(self):
+        G = hypercube(5)
+        assert best_uniform_order(G) == gonality_upper_by_separator(G).size == 16
+
+    def test_applicable_theorems_agree_with_the_sandwich(self):
+        applied = 0
+        for name, G, want in PINNED_GONALITY:
+            reports = [verify_main(G, l, brute_cap=None) for l in range(3, min(G.n + 1, G.girth()) + 1)]
+            reports += [verify_girth_family(G, variant, brute_cap=None)
+                        for variant in ("girth3", "girth4a", "girth4b", "girth5")]
+            if G.bipartition() is not None:
+                reports += [verify_bipartite(G, variant, brute_cap=None)
+                            for variant in ("bipartite1", "bipartite2")]
+            for report in reports:
+                if report.applicable:
+                    applied += 1
+                    assert report.conclusion_value == want, (name, report.theorem_id, report.parameter)
+        # the count keeps the agreement from holding because nothing applied
+        assert applied == 107
 
     def test_best_uniform_order_argument_checks(self):
         with pytest.raises(ValueError, match="no vertices"):

@@ -8,7 +8,7 @@ A divisor is a plain tuple of n ints, one chip count per vertex.
 
 from dataclasses import dataclass, field
 
-from .graphs import InputFormatError, _bits, _content_rows
+from .graphs import INF, InputFormatError, _bits, _content_rows
 from .invariants import max_component_independent_set, restricted_edge_connectivity
 
 
@@ -241,7 +241,7 @@ class GonalityResult:
     superstable_burns: int = field(compare=False)
 
 
-def gonality_bruteforce(G, max_degree=None, lower=0):
+def gonality_bruteforce(G, max_degree=INF, lower=0):
     """Smallest degree of a positive-rank divisor, by exact branch and
     bound over 0-reduced divisors.
 
@@ -275,13 +275,13 @@ def gonality_bruteforce(G, max_degree=None, lower=0):
     make the answer wrong.
 
     Returns the first 0-reduced positive-rank divisor of the minimal
-    degree that the search meets.  The default degree cap is n, which is
-    never the binding constraint on a connected graph.
+    degree that the search meets.  The degree cap is min(max_degree, n),
+    so INF, the default, means n, which never binds on a connected graph.
     """
     G._check_nonempty()
     G._check_connected()
     n = G.n
-    cap = n if max_degree is None else max_degree
+    cap = min(max_degree, n)
     if cap < 0:
         raise ValueError("degree cap must be non-negative")
     if cap < lower:

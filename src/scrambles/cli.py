@@ -72,7 +72,7 @@ def build_parser():
 
     b = gsub.add_parser("brute", help="exact search over 0-reduced divisors")
     b.add_argument("file")
-    b.add_argument("--max-degree", type=int)
+    b.add_argument("--max-degree", type=int, default=INF)
 
     c = gsub.add_parser("check", help="does a divisor have positive rank")
     c.add_argument("file")
@@ -218,7 +218,7 @@ def _cmd_gonality(args):
         # the bound stops once it passes the cap, which then cannot be met
         lower = 0
         for lower in scramble._uniform_orders_so_far(G):
-            if args.max_degree is not None and lower > args.max_degree:
+            if lower > args.max_degree:
                 break
         result = chipfiring.gonality_bruteforce(G, args.max_degree, lower=lower)
         if result.exceeded_cap:

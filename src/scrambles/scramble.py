@@ -15,10 +15,10 @@ place of its size test.  The uniform k-scramble (every connected
 k-set) takes its numbers from graph invariants instead, on any graph:
 its hitting number is n - alpha_{k-1}, and its egg-cut number is
 lambda_k of the one component holding k vertices (0 when two do), so
-no egg is built there.  Its budgeted hitting search deepens too,
-asking at each size s whether alpha_{k-1} exceeds n - s - 1; both
-deepening searches share one node counter, deadline and progress line
-(``_Deepening``).
+no egg is built there.  Its hitting search is one alpha walk, or under
+a target, budget or progress lines deepens, asking at each size s
+whether alpha_{k-1} exceeds n - s - 1; both hitting searches share one
+node counter, deadline and progress line (``_Deepening``).
 
 Eggs read from a file or handed to ``make_scramble`` are read once and
 checked connected all at once, over the incidence their ``Scramble``
@@ -559,25 +559,28 @@ def _holding(G, k):
 def uniform_hitting_number(G, k):
     """Hitting number of the uniform k-scramble, n - alpha_{k-1}: a set
     meets every connected k-set iff the rest has no component above k - 1."""
-    _holding(G, k)
-    return G.n - invariants.component_independence_number(G, k - 1)
+    return uniform_hitting_search(G, k).optimum
 
 
 def uniform_hitting_search(G, k, target=INF, budget=INF, progress=None):
-    """``hitting_search`` on the uniform k-scramble, deepening on
-    alpha_{k-1} with no egg built.
+    """``hitting_search`` on the uniform k-scramble, on alpha_{k-1} with
+    no egg built.
 
     A set of at most s vertices meets every connected k-set iff the rest,
-    at least n - s vertices, has no component above k - 1.  Level s asks
-    ``invariants.max_component_independent_set`` whether such a rest
-    exists, stopping at the first one found; if none does, the hitting
-    number is at least s + 1, else it is s and the complement of that
-    rest is the witness.  Levels start at 1, and every node of the alpha
-    walk counts toward ``nodes``, the deadline and the progress lines.
+    at least n - s vertices, has no component above k - 1.  Unlimited
+    (``target`` and ``budget`` INF, no ``progress``), one maximizing alpha
+    walk finds a largest rest.  Under a limit the search deepens: level
+    s, from 1, asks the walk with a floor for a rest above n - s - 1
+    vertices and stops at the first; none proves the number >= s + 1.
+    The witness is the rest's complement, and every node of the walk
+    counts toward ``nodes``, the deadline and the progress lines.
     """
     _holding(G, k)
     search = _Deepening(budget, progress)
     everything = frozenset(range(G.n))
+    if target == budget == INF and progress is None:
+        rest = invariants.max_component_independent_set(G, k - 1, tick=search.tick)
+        return search.run(G.n - len(rest), lambda size: everything - rest, target)
 
     def decide(size):
         rest = invariants.max_component_independent_set(

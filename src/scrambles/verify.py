@@ -137,9 +137,9 @@ def _require_simple(G):
 
 
 def _gonality_cross_check(G, expected, cap):
-    """Brute-force comparison; capped search when a value is expected so
-    runtime is bounded by the claimed gonality."""
-    if cap is None or G.n > cap:
+    """Brute-force comparison, skipped above ``cap`` vertices (so 0 skips
+    all); capped at the claimed gonality when a value is expected."""
+    if G.n > cap:
         return CrossCheck("skipped")
     if expected is None:
         result = gonality_bruteforce(G)

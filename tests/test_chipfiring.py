@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scrambles import (
+    INF,
     DivisorFileError,
     GonalityResult,
     Multigraph,
@@ -307,6 +308,14 @@ class TestGonality:
         assert result.value is None
         assert result.witness is None
         assert result.max_degree == 1
+
+    def test_no_cap_is_inf_not_none(self):
+        G = cycle_graph(5)
+        assert gonality_bruteforce(G, max_degree=INF) == gonality_bruteforce(G)
+        assert gonality_bruteforce(G).max_degree == 5
+        assert gonality_bruteforce(G, max_degree=9).max_degree == 5
+        with pytest.raises(TypeError):
+            gonality_bruteforce(G, max_degree=None)
 
     def test_negative_degree_cap_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

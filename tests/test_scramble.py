@@ -634,8 +634,8 @@ class TestHitting:
 
 
 class TestUniformHittingSearch:
-    """The alpha deepening shares its engine with ``uniform_hitting_number``,
-    so it is checked against egg-level oracles that share neither."""
+    """Both walks, the unlimited one and the deepening, are checked
+    against egg-level oracles that share neither engine."""
 
     @given(st.one_of(connected_multigraphs(max_n=9, max_extra=10), disjoint_unions()), st.data())
     @settings(deadline=None, max_examples=80)
@@ -662,6 +662,53 @@ class TestUniformHittingSearch:
             spent = uniform_hitting_search(G, k, budget=0)
             assert not spent.complete
             assert spent.proved_lower == 1
+
+    @staticmethod
+    def floors_of_each_call(monkeypatch):
+        floors = []
+        search = invariants.max_component_independent_set
+
+        def spy(G, limit, *args, **kwargs):
+            floors.append(kwargs.get("floor", "none"))
+            return search(G, limit, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "max_component_independent_set", spy)
+        return floors
+
+    def test_unlimited_search_is_one_maximizing_walk(self, monkeypatch):
+        floors = self.floors_of_each_call(monkeypatch)
+        result = uniform_hitting_search(hypercube(4), 5)
+        assert floors == ["none"]
+        assert result.optimum == result.proved_lower == 8
+        assert result.nodes > 0
+        assert uniform_hitting_number(hypercube(4), 5) == 8
+        assert floors == ["none", "none"]
+
+    @pytest.mark.parametrize("limit", [{"target": 9}, {"budget": 60.0}, {"progress": [].append}],
+                             ids=["target", "budget", "progress"])
+    def test_any_limit_deepens(self, monkeypatch, limit):
+        # level s asks for a rest above n - s - 1 = 15 - s vertices
+        floors = self.floors_of_each_call(monkeypatch)
+        result = uniform_hitting_search(hypercube(4), 5, **limit)
+        assert result.optimum == 8
+        assert floors == list(range(14, 6, -1))
+
+    def test_both_walks_agree_on_the_pinned_families(self):
+        walks = 0
+        for name, G, _ in PINNED_GONALITY:
+            if G.n > 16:
+                continue
+            n, edges = plain_edges(G)
+            for k in range(1, n + 1):
+                single = uniform_hitting_search(G, k)
+                deepened = uniform_hitting_search(G, k, budget=1e9)
+                assert single.optimum == deepened.optimum, (name, k)
+                for result in (single, deepened):
+                    assert len(result.witness) == result.optimum
+                    rest = set(range(n)) - result.witness
+                    assert all(len(c) < k for c in oracles.components(n, edges, rest)), (name, k)
+                walks += 2
+        assert walks == 536
 
     def test_five_cube_floor(self):
         result = uniform_hitting_search(hypercube(5), 6, target=8)
@@ -912,11 +959,11 @@ class TestOrder:
     def test_applicable_theorems_agree_with_the_sandwich(self):
         applied = 0
         for name, G, want in PINNED_GONALITY:
-            reports = [verify_main(G, l, brute_cap=None) for l in range(3, min(G.n + 1, G.girth()) + 1)]
-            reports += [verify_girth_family(G, variant, brute_cap=None)
+            reports = [verify_main(G, l, brute_cap=0) for l in range(3, min(G.n + 1, G.girth()) + 1)]
+            reports += [verify_girth_family(G, variant, brute_cap=0)
                         for variant in ("girth3", "girth4a", "girth4b", "girth5")]
             if G.bipartition() is not None:
-                reports += [verify_bipartite(G, variant, brute_cap=None)
+                reports += [verify_bipartite(G, variant, brute_cap=0)
                             for variant in ("bipartite1", "bipartite2")]
             for report in reports:
                 if report.applicable:

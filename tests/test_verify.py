@@ -97,6 +97,13 @@ class TestMain:
         with pytest.raises(ValueError, match=f"subset size {l - 1} out of range"):
             verify_main(G, l)
 
+    def test_brute_cap_is_a_number(self):
+        G = complete_graph(5)
+        assert verify_main(G, 3).cross_check.status == "verified"
+        assert verify_main(G, 3, brute_cap=0).cross_check.status == "skipped"
+        with pytest.raises(TypeError):
+            verify_main(G, 3, brute_cap=None)
+
     def test_top_of_parameter_range(self):
         # L = n + 1 takes the whole star as the one egg: bound n - alpha_{n-1} = 1
         report = verify_main(complete_bipartite(1, 3), 5)
@@ -117,14 +124,14 @@ class TestMain:
     @given(simple_connected_graphs(max_n=7))
     @settings(deadline=None, max_examples=40)
     def test_level_3_bound_always_present_on_simple_graphs(self, G):
-        report = verify_main(G, 3, brute_cap=None)
+        report = verify_main(G, 3, brute_cap=0)
         assert report.hypotheses[0].holds
         assert report.upper_bound == G.n - independence_number(G)
 
     @given(simple_connected_graphs(max_n=6))
     @settings(deadline=None, max_examples=30)
     def test_applicable_conclusion_matches_bruteforce(self, G):
-        report = verify_main(G, 3, brute_cap=None)
+        report = verify_main(G, 3, brute_cap=0)
         if report.applicable:
             assert report.conclusion_value == gonality_bruteforce(G).value
 

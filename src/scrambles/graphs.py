@@ -175,30 +175,26 @@ class Multigraph:
 
     # -- connectivity --------------------------------------------------
 
-    def _component_of(self, start, within_mask):
-        """Bitmask of the component of ``start`` inside ``within_mask``."""
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= self._mask[v]
-            frontier = grown & within_mask & ~comp
-            comp |= frontier
-        return comp
-
-    def _layers(self, start):
-        """Breadth-first layers from ``start`` as bitmasks: ``start``
-        alone, then each set of vertices one step further, until its
-        component is exhausted."""
+    def _layers(self, start, within=-1):
+        """Breadth-first layers from ``start`` inside the vertex mask
+        ``within`` (all vertices by default), as bitmasks: ``start``
+        alone, then each set one step further, until its component there
+        is exhausted.  The graph's one frontier loop: components,
+        connectivity, girth, bipartition and q-reduction order read it."""
         seen = layer = 1 << start
         while layer:
             yield layer
             grown = 0
             for v in _bits(layer):
                 grown |= self._mask[v]
-            layer = grown & ~seen
+            layer = grown & within & ~seen
             seen |= layer
+
+    def _component_of(self, start, within):
+        """Bitmask of the component of ``start`` inside the mask
+        ``within``: its breadth-first layers are disjoint, so their sum
+        is their union."""
+        return sum(self._layers(start, within))
 
     def _mask_connected(self, mask):
         if mask == 0:
@@ -264,37 +260,31 @@ class Multigraph:
         """Length of a shortest cycle; a parallel pair counts as a
         2-cycle and forests have girth INF.
 
-        Simple case: for each edge, the shortest cycle through it is one
-        plus the distance between its endpoints with that edge removed.
+        Simple case: layers from each root r over the vertices from r
+        up.  A vertex of layer d with two neighbours in layer d - 1
+        closes a cycle of at most 2d edges, an edge inside layer d one
+        of at most 2d + 1, and from the least vertex of a shortest cycle
+        one of them meets its length.  A root stops once 2d >= best.
         """
         if any(m >= 2 for _, _, m in self.edges()):
             return 2
+        nbr = self._mask
         best = INF
-        for u, v, _ in self.edges():
-            d = self._dist_avoiding(u, v)
-            if d is not None and d + 1 < best:
-                best = d + 1
-                if best == 3:
-                    return 3
+        for root in range(self.n - 2):
+            prev = 0
+            for depth, layer in enumerate(self._layers(root, -1 << root)):
+                if 2 * depth >= best:
+                    break
+                for v in _bits(layer):
+                    if (nbr[v] & prev).bit_count() > 1:
+                        best = 2 * depth
+                        break  # no vertex of this layer closes less
+                    if nbr[v] & layer:
+                        best = 2 * depth + 1
+                prev = layer
+            if best == 3:
+                return 3
         return best
-
-    def _dist_avoiding(self, s, t):
-        """BFS distance from s to t ignoring the edge class {s, t}, or
-        None when t is out of reach; the layers are bitmasks."""
-        target = 1 << t
-        seen = 1 << s
-        layer = self._mask[s] & ~target
-        dist = 1
-        while layer:
-            seen |= layer
-            grown = 0
-            for v in _bits(layer):
-                grown |= self._mask[v]
-            dist += 1
-            if grown & target:
-                return dist
-            layer = grown & ~seen
-        return None
 
     def bipartition(self):
         """Two-colouring as a pair of frozensets, or None on an odd cycle.

@@ -83,6 +83,29 @@ def girth_bfs(n, edges):
     return best
 
 
+def girth_by_cycles(n, edges):
+    """Shortest cycle length by growing every simple path from each
+    start s through vertices above s only, closing a cycle when a path
+    of at least three vertices ends next to s; 2 with a parallel pair,
+    INF on forests.  Exponential in n."""
+    if len({frozenset(e) for e in edges}) < len(edges):
+        return 2
+    nbr = adjacency(n, edges)
+    best = INF
+
+    def grow(s, path):
+        nonlocal best
+        if len(path) >= 3 and s in nbr[path[-1]]:
+            best = min(best, len(path))
+        for w in nbr[path[-1]]:
+            if w > s and w not in path:
+                grow(s, path + [w])
+
+    for s in range(n):
+        grow(s, [s])
+    return best
+
+
 def mincut_bipartition(n, edges, u, v):
     """Minimum crossing count over all vertex bipartitions separating
     u from v.  Exponential in n."""

@@ -29,7 +29,12 @@ def disjoint_unions(draw, max_n=4):
     side, the second renumbered after the first; ``max_n=5`` reaches 10
     vertices, past the first byte of a vertex mask."""
     first = draw(connected_multigraphs(max_n=max_n))
-    second = draw(connected_multigraphs(max_n=max_n))
+    return side_by_side(first, draw(connected_multigraphs(max_n=max_n)))
+
+
+def side_by_side(first, second):
+    """The disjoint union of two graphs, the second renumbered after the
+    first."""
     shifted = [(u + first.n, v + first.n) for u, v in second.edge_list()]
     return Multigraph(first.n + second.n, first.edge_list() + shifted)
 

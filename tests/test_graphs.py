@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,7 +33,14 @@ from scrambles import (
     random_connected_multigraph,
 )
 from scrambles.graphs import _lex_sorted
-from strategies import connected_multigraphs, disjoint_unions, plain_edges, vertex_set
+from strategies import (
+    connected_multigraphs,
+    disjoint_unions,
+    plain_edges,
+    side_by_side,
+    simple_connected_graphs,
+    vertex_set,
+)
 
 TRIANGLE_DOC = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_EDGE_DOC = "2 2\n0 1\n0 1\n"
@@ -133,6 +140,59 @@ class TestGirth:
     @settings(deadline=None)
     def test_matches_bfs_oracle(self, G):
         assert G.girth() == oracles.girth_bfs(*plain_edges(G))
+
+    @pytest.mark.parametrize(
+        "build, girth",
+        [
+            (lambda: crown(3), 6),
+            (lambda: folded_cube(2), 3),
+            (lambda: folded_cube(3), 4),
+            (lambda: complete_bipartite(3, 4), 4),
+            (herschel_graph, 4),
+            (lambda: hypercube(5), 4),
+            (lambda: complete_bipartite(1, 3), INF),
+        ],
+        ids=["crown-3", "folded-cube-2", "folded-cube-3", "K_3_4", "herschel", "Q5", "K_1_3"],
+    )
+    def test_named_graphs(self, build, girth):
+        assert build().girth() == girth
+
+    @given(
+        st.one_of(
+            simple_connected_graphs(max_n=9, max_extra=8),
+            st.builds(
+                side_by_side,
+                simple_connected_graphs(max_n=9, max_extra=8),
+                simple_connected_graphs(max_n=9, max_extra=8),
+            ),
+        )
+    )
+    # from root 1, layer 2 closes both a 4-cycle and a 5-cycle
+    @example(Multigraph(9, [(0, 8), (1, 3), (1, 4), (2, 3), (3, 6), (3, 8), (4, 5), (4, 6), (4, 7), (5, 8)]))
+    @settings(deadline=None)
+    def test_simple_graphs_match_both_oracles(self, G):
+        # simple graphs never stop at the parallel-pair answer 2, and the
+        # cycle oracle shares no breadth-first search with the library
+        n, edges = plain_edges(G)
+        assert G.girth() == oracles.girth_by_cycles(n, edges)
+        assert G.girth() == oracles.girth_bfs(n, edges)
+
+
+class TestLayers:
+    @given(st.one_of(connected_multigraphs(max_n=7), disjoint_unions()), st.data())
+    @settings(deadline=None)
+    def test_walk_inside_a_mask_matches_oracles(self, G, data):
+        n, edges = plain_edges(G)
+        within = data.draw(st.integers(1, (1 << n) - 1))
+        start = data.draw(st.sampled_from(sorted(vertex_set(within))))
+        comp = next(c for c in oracles.components(n, edges, vertex_set(within)) if start in c)
+        assert vertex_set(G._component_of(start, within)) == comp
+        inside = [(u, v) for u, v in edges if within >> u & 1 and within >> v & 1]
+        dist = oracles.distances_from(n, inside, start)
+        classes = [set() for _ in range(max(dist.values()) + 1)]
+        for v, d in dist.items():
+            classes[d].add(v)
+        assert [vertex_set(layer) for layer in G._layers(start, within)] == classes
 
 
 class TestBipartition:

@@ -22,6 +22,18 @@ K_{4,4}      8  2        4        6      4         -    -
 C_8          8  2        4        2      2         -    -
 """
 
+WORKED_EXAMPLES_FULL = """\
+graph        n  k  hitting  egg-cut  order  gonality  sep
+---------------------------------------------------------
+herschel    11  3        5        5      5         5    5
+cube         8  2        4        4      4         4    4
+four-cube   16  3        8        8      8         8    8
+crown-4      8  2        4        4      4         4    4
+K_{3,3}      6  2        3        4      3         3    3
+K_{4,4}      8  2        4        6      4         4    4
+C_8          8  2        4        2      2         2    2
+"""
+
 RANDOM_SURVEY = """\
 trials: 60 (n <= 7, seed 7)
 gap 0:   46 (76.7%)
@@ -52,3 +64,9 @@ def test_script_output_is_pinned(argv, expected):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == expected
+
+
+def test_worked_examples_full_table_is_pinned():
+    # the gonality and sep columns; sep reads girth through the
+    # tree-separator bound
+    test_script_output_is_pinned(["worked_examples.py"], WORKED_EXAMPLES_FULL)

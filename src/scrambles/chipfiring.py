@@ -6,7 +6,7 @@ separator-based upper bounds.
 A divisor is a plain tuple of n ints, one chip count per vertex.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graphs import INF, InputFormatError, _bits, _content_rows
 from .invariants import max_component_independent_set, restricted_edge_connectivity
@@ -225,20 +225,32 @@ def has_positive_rank(G, D):
 # -- gonality ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GonalityResult:
+class GonalityResult(
+    namedtuple(
+        "GonalityResult",
+        "value witness exceeded_cap max_degree rank_tests superstable_burns",
+    )
+):
     """``value``/``witness`` are set when the search found a divisor;
     ``exceeded_cap`` reports running out of degrees instead.
     ``rank_tests`` counts the divisors the search tested for positive
     rank, and ``superstable_burns`` the burns it ran to prove a
-    configuration superstable; neither takes part in equality."""
+    configuration superstable.
 
-    value: object
-    witness: object
-    exceeded_cap: bool
-    max_degree: int
-    rank_tests: int = field(compare=False)
-    superstable_burns: int = field(compare=False)
+    A named tuple, but equality and hash read the first four fields
+    only, so the two counters take no part in them, and a result never
+    equals a plain tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, GonalityResult) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
 def gonality_bruteforce(G, max_degree=INF, lower=0):
@@ -349,11 +361,7 @@ def gonality_bruteforce(G, max_degree=INF, lower=0):
 # -- strong separators ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongSeparatorReport:
-    separator: frozenset
-    valid: bool
-    violating_component: object
+StrongSeparatorReport = namedtuple("StrongSeparatorReport", "separator valid violating_component")
 
 
 def check_strong_separator(G, subset):
@@ -379,11 +387,7 @@ def check_strong_separator(G, subset):
     return StrongSeparatorReport(sep, True, None)
 
 
-@dataclass(frozen=True)
-class SeparatorBound:
-    size: int
-    separator: frozenset
-    component_limit: int
+SeparatorBound = namedtuple("SeparatorBound", "size separator component_limit")
 
 
 def gonality_upper_by_separator(G):

@@ -29,7 +29,7 @@ faulty egg from the masks already read.
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import islice
 
@@ -48,17 +48,21 @@ class ScrambleFileError(InputFormatError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Scramble:
     """Eggs as vertex bitmasks, deduplicated and sorted lexicographically
     by ascending vertex tuple; ``eggs`` spells them out as vertex sets,
     built afresh on each read.  The egg engines assume connected eggs:
     ``make_scramble``, ``parse_scramble`` and ``uniform_scramble`` ensure
     them, while on a direct build the engines refuse only empty or
-    out-of-range masks.  Made or parsed eggs come with their incidence."""
+    out-of-range masks.  Made or parsed eggs come with their incidence.
 
-    graph: object
-    masks: tuple
+    A plain class, treated as immutable after construction as
+    ``Multigraph`` is; two scrambles are equal only when they are the
+    same object."""
+
+    def __init__(self, graph, masks):
+        self.graph = graph
+        self.masks = masks
 
     @property
     def eggs(self):
@@ -192,8 +196,9 @@ def parse_scramble(text, G):
 # -- hitting number ------------------------------------------------------
 
 
-@dataclass
-class HittingSearchResult:
+class HittingSearchResult(
+    namedtuple("HittingSearchResult", "proved_lower optimum witness elapsed nodes")
+):
     """Outcome of an iterative-deepening hitting search.
 
     ``proved_lower`` always holds (the hitting number is at least this);
@@ -201,11 +206,7 @@ class HittingSearchResult:
     what ``complete`` reports.
     """
 
-    proved_lower: int
-    optimum: object
-    witness: object
-    elapsed: float
-    nodes: int
+    __slots__ = ()
 
     @property
     def complete(self):

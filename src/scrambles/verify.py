@@ -14,7 +14,6 @@ the hitting number of the uniform (c + 1)-scramble.
 
 import json
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 
 from .chipfiring import gonality_bruteforce
 from .flow import _max_flow
@@ -30,28 +29,30 @@ from .scramble import (
 DEFAULT_BRUTE_CAP = 16
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    holds: bool
-    witness: object = None
+HypothesisCheck = namedtuple("HypothesisCheck", "name holds witness", defaults=(None,))
+
+# status: verified | mismatch | informational | skipped
+CrossCheck = namedtuple("CrossCheck", "status value", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    status: str  # verified | mismatch | informational | skipped
-    value: object = None
-
-
-@dataclass
 class TheoremReport:
-    theorem_id: str
-    hypotheses: list
-    conclusion_value: object = None  # set only when applicable
-    parameter: object = None
-    upper_bound: object = None
-    lemma_checks: list = field(default_factory=list)
-    cross_check: object = None
+    def __init__(
+        self,
+        theorem_id,
+        hypotheses,
+        conclusion_value=None,  # set only when applicable
+        parameter=None,
+        upper_bound=None,
+        lemma_checks=None,  # a fresh empty list when omitted
+        cross_check=None,
+    ):
+        self.theorem_id = theorem_id
+        self.hypotheses = hypotheses
+        self.conclusion_value = conclusion_value
+        self.parameter = parameter
+        self.upper_bound = upper_bound
+        self.lemma_checks = [] if lemma_checks is None else lemma_checks
+        self.cross_check = cross_check
 
     @property
     def applicable(self):
@@ -75,12 +76,12 @@ class TheoremReport:
             "theorem_id": self.theorem_id,
             "parameter": self.parameter,
             "applicable": self.applicable,
-            "hypotheses": [asdict(c) for c in self.hypotheses],
+            "hypotheses": [c._asdict() for c in self.hypotheses],
             "conclusion_value": value,
             "conclusion": self.conclusion,
             "upper_bound": None if self.upper_bound is None else count_to_json(self.upper_bound),
-            "lemma_checks": [asdict(c) for c in self.lemma_checks],
-            "cross_check": None if self.cross_check is None else asdict(self.cross_check),
+            "lemma_checks": [c._asdict() for c in self.lemma_checks],
+            "cross_check": None if self.cross_check is None else self.cross_check._asdict(),
         }
 
 

@@ -1,6 +1,9 @@
 """The runtime is stdlib-only: every absolute import in the package
 names a standard-library module.  numpy, scipy or networkx may be
-installed alongside, but the package must not depend on them."""
+installed alongside, but the package must not depend on them.  Nor does
+it import ``dataclasses``: generating the methods of a handful of
+records would cost more than half of the package's import, and loading
+the module pulls in ``inspect``."""
 
 import ast
 import sys
@@ -51,3 +54,9 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     assert outside_stdlib(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_no_dataclasses(path):
+    tops = [top for _, top in absolute_imports(path.read_text(encoding="utf-8"))]
+    assert "dataclasses" not in tops

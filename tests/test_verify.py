@@ -330,6 +330,12 @@ class TestReports:
         for report in reports:
             assert report.applicable == all(c.holds for c in report.hypotheses)
 
+    def test_reports_do_not_share_a_default_lemma_list(self):
+        first, second = TheoremReport("main", []), TheoremReport("main", [])
+        assert first.lemma_checks == second.lemma_checks == []
+        first.lemma_checks.append(HypothesisCheck("lemma", True))
+        assert second.lemma_checks == []
+
     def test_json_reserializes_byte_identically(self):
         for report in (
             verify_main(herschel_graph(), 4),

@@ -8,11 +8,10 @@ of these examples the two meet.
 """
 
 import argparse
-from dataclasses import dataclass
+from collections import namedtuple
 
 from scrambles.chipfiring import gonality_bruteforce, gonality_upper_by_separator
 from scrambles.graphs import (
-    Multigraph,
     complete_bipartite,
     crown,
     cycle_graph,
@@ -23,11 +22,7 @@ from scrambles.graphs import (
 from scrambles.scramble import uniform_egg_cut_number, uniform_hitting_number
 
 
-@dataclass
-class Example:
-    name: str
-    graph: Multigraph
-    egg_size: int
+Example = namedtuple("Example", "name graph egg_size")
 
 
 EXAMPLES = [

@@ -11,8 +11,6 @@ that cannot be split) use the float ``INF`` sentinel; every finite count
 is a plain int.
 """
 
-import random
-
 INF = float("inf")
 
 # Vertex sets are int bitmasks; documents may declare, and generate()

@@ -23,7 +23,8 @@ node counter, deadline and progress line (``_Deepening``).
 Eggs read from a file or handed to ``make_scramble`` are read once and
 checked connected all at once, over the incidence their ``Scramble``
 builds then and keeps for the engines; a fault is named at the first
-faulty egg from the masks already read.
+faulty egg from the masks already read.  A ``Scramble`` built directly
+gets the same sweep when its incidence is first built.
 """
 
 import sys
@@ -51,14 +52,17 @@ class ScrambleFileError(InputFormatError):
 class Scramble:
     """Eggs as vertex bitmasks, deduplicated and sorted lexicographically
     by ascending vertex tuple; ``eggs`` spells them out as vertex sets,
-    built afresh on each read.  The egg engines assume connected eggs:
+    built afresh on each read.  The egg engines need connected eggs:
     ``make_scramble``, ``parse_scramble`` and ``uniform_scramble`` ensure
-    them, while on a direct build the engines refuse only empty or
-    out-of-range masks.  Made or parsed eggs come with their incidence.
+    them, and on a direct build the engines refuse empty, out-of-range
+    and disconnected eggs.  Made or parsed eggs come with their incidence.
 
     A plain class, treated as immutable after construction as
     ``Multigraph`` is; two scrambles are equal only when they are the
     same object."""
+
+    # False once a builder has vouched for connected eggs or swept them
+    _sweep = True
 
     def __init__(self, graph, masks):
         self.graph = graph
@@ -78,12 +82,17 @@ class Scramble:
         if not self.masks:
             raise ValueError("empty scramble")
         n = self.graph.n
-        # a Scramble built directly skips make_scramble's checks
+        # a Scramble built directly skips make_scramble's checks, so its
+        # first read makes them, the connectivity sweep included
         if min(self.masks) < 1:
             raise ValueError("eggs must be nonempty")
         if max(self.masks) >> n:
             raise ValueError(f"egg vertex out of range for a graph on {n} vertices")
         inc = _incidence(self.masks, n)
+        bad = _disconnected(self.graph, inc) if self._sweep else 0
+        if bad:
+            egg = list(_bits(self.masks[(bad & -bad).bit_length() - 1]))
+            raise ValueError(f"egg {egg} does not induce a connected subgraph")
         every = (1 << len(self.masks)) - 1
         return inc, every, [every ^ row for row in inc]
 
@@ -110,6 +119,7 @@ def _checked_scramble(G, rows, mask_of, disconnected):
         first = next(_bits(bad))
     else:
         S = Scramble(G, tuple(_lex_sorted(set(masks))))
+        S._sweep = False
         bad = _disconnected(G, S._egg_incidence[0]) if S.masks else 0
         if not bad:
             return S
@@ -137,7 +147,9 @@ def make_scramble(G, eggs):
 
 def uniform_scramble(G, k):
     """The scramble whose eggs are all connected k-vertex subsets."""
-    return Scramble(G, tuple(enumerate_connected_subsets(G, k)))
+    S = Scramble(G, tuple(enumerate_connected_subsets(G, k)))
+    S._sweep = False
+    return S
 
 
 def _spelled_mask(tokens, n, lineno):
@@ -518,8 +530,7 @@ def egg_cut_number(S):
     search ``invariants._min_split`` grows such a side with its egg
     test.  When the eggs pairwise overlap no split passes, and the
     search could show that only by exhausting its tree, so that case is
-    settled first by ``_disjoint_pair``.  The leaf test assumes
-    connected eggs, which ``Scramble`` does not check.
+    settled first by ``_disjoint_pair``.
     """
     G = S.graph
     inc, every, out = S._egg_incidence
@@ -532,16 +543,13 @@ def egg_cut_number(S):
     return invariants._min_split(G, home, out=out, every=every)
 
 
-def _order_with_cut(S, e):
-    """min(hitting number, e), the hitting search stopping once e is a
-    proven bound."""
-    optimum = hitting_search(S, target=e).optimum
-    return e if optimum is None else min(optimum, e)
-
-
 def scramble_order(S):
-    """min(hitting number, egg-cut number), both computed from the eggs."""
-    return _order_with_cut(S, egg_cut_number(S))
+    """min(hitting number, egg-cut number), both computed from the eggs.
+    The hitting search stops once the cut is a proven bound, so an
+    optimum it finds lies below the cut."""
+    e = egg_cut_number(S)
+    optimum = hitting_search(S, target=e).optimum
+    return e if optimum is None else optimum
 
 
 # -- uniform scrambles from graph invariants ------------------------------

@@ -20,7 +20,7 @@ from .flow import _max_flow
 from .graphs import INF, count_to_json, fmt_count
 from .invariants import independence_number, min_connected_outdegree, restricted_edge_connectivity
 from .scramble import (
-    _order_with_cut,
+    hitting_number,
     uniform_hitting_number,
     uniform_order_via_invariants,
     uniform_scramble,
@@ -35,24 +35,18 @@ HypothesisCheck = namedtuple("HypothesisCheck", "name holds witness", defaults=(
 CrossCheck = namedtuple("CrossCheck", "status value", defaults=(None,))
 
 
-class TheoremReport:
-    def __init__(
-        self,
-        theorem_id,
-        hypotheses,
-        conclusion_value=None,  # set only when applicable
-        parameter=None,
-        upper_bound=None,
-        lemma_checks=None,  # a fresh empty list when omitted
-        cross_check=None,
-    ):
-        self.theorem_id = theorem_id
-        self.hypotheses = hypotheses
-        self.conclusion_value = conclusion_value
-        self.parameter = parameter
-        self.upper_bound = upper_bound
-        self.lemma_checks = [] if lemma_checks is None else lemma_checks
-        self.cross_check = cross_check
+class TheoremReport(
+    namedtuple(
+        "TheoremReport",
+        "theorem_id hypotheses conclusion_value parameter upper_bound lemma_checks cross_check",
+        defaults=(None, None, None, (), None),
+    )
+):
+    """One theorem's hypotheses, its conclusion (set only when every
+    hypothesis holds) and the cross-check of that conclusion, built in
+    one call; ``lemma_checks`` is ``()`` when omitted."""
+
+    __slots__ = ()
 
     @property
     def applicable(self):
@@ -154,11 +148,9 @@ def _gonality_cross_check(G, expected, cap):
 def _report(theorem_id, G, hypotheses, conclude, brute_cap, **fields):
     """The report on one theorem; ``conclude()`` runs only when it is
     applicable, and brute force checks the value it gives."""
-    report = TheoremReport(theorem_id, hypotheses, **fields)
-    if report.applicable:
-        report.conclusion_value = conclude()
-    report.cross_check = _gonality_cross_check(G, report.conclusion_value, brute_cap)
-    return report
+    value = conclude() if all(c.holds for c in hypotheses) else None
+    check = _gonality_cross_check(G, value, brute_cap)
+    return TheoremReport(theorem_id, hypotheses, value, cross_check=check, **fields)
 
 
 def _valence_sum_checks(G, adjacent_floor, nonadjacent_floor):
@@ -332,12 +324,12 @@ def _egg_cut_by_pairs(S):
 
 
 def verify_order_ek(G, k):
-    """Uniform-scramble order computed twice: directly from the eggs, the
-    egg cut by pairwise max flows, and from the invariant formula; the
-    two must agree."""
+    """Uniform-scramble order computed twice: directly from the eggs, as
+    the smaller of the hitting number and the egg cut by pairwise max
+    flows, and from the invariant formula; the two must agree."""
     formula = uniform_order_via_invariants(G, k)
     S = uniform_scramble(G, k)
-    direct = _order_with_cut(S, _egg_cut_by_pairs(S))
+    direct = min(hitting_number(S), _egg_cut_by_pairs(S))
     agreed = int(direct) if direct == formula != INF else None
     check = CrossCheck("verified" if direct == formula else "mismatch", agreed)
     return TheoremReport("order_ek", [], (direct, formula), parameter=k, cross_check=check)

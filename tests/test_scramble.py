@@ -543,6 +543,14 @@ class TestHitting:
                 with pytest.raises(ValueError, match=message):
                     engine(S)
 
+    def test_hand_built_disconnected_egg_rejected(self):
+        # the only split keeping both eggs whole crosses 2 edges, yet an
+        # unchecked split search read 1
+        S = Scramble(path_graph(3), (0b101, 0b010))
+        for engine in (hitting_search, egg_cut_number, has_finite_egg_cut, scramble_order):
+            with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce a connected"):
+                engine(S)
+
     @given(scrambles_on())
     @settings(deadline=None, max_examples=60)
     def test_matches_exhaustive_oracle(self, S):

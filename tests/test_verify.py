@@ -330,11 +330,22 @@ class TestReports:
         for report in reports:
             assert report.applicable == all(c.holds for c in report.hypotheses)
 
-    def test_reports_do_not_share_a_default_lemma_list(self):
+    def test_reports_are_values_with_no_default_lemmas(self):
         first, second = TheoremReport("main", []), TheoremReport("main", [])
-        assert first.lemma_checks == second.lemma_checks == []
-        first.lemma_checks.append(HypothesisCheck("lemma", True))
-        assert second.lemma_checks == []
+        assert first.lemma_checks == second.lemma_checks == ()
+        assert TheoremReport._fields == (
+            "theorem_id",
+            "hypotheses",
+            "conclusion_value",
+            "parameter",
+            "upper_bound",
+            "lemma_checks",
+            "cross_check",
+        )
+        for field in TheoremReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(first, field, None)
+        assert '"lemma_checks": []' in report_to_json(first)
 
     def test_json_reserializes_byte_identically(self):
         for report in (

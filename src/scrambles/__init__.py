@@ -42,7 +42,6 @@ from .graphs import (
 )
 from .invariants import (
     component_independence_number,
-    compute_invariant,
     independence_number,
     max_component_independent_set,
     min_connected_outdegree,

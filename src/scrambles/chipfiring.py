@@ -225,32 +225,13 @@ def has_positive_rank(G, D):
 # -- gonality ------------------------------------------------------------
 
 
-class GonalityResult(
-    namedtuple(
-        "GonalityResult",
-        "value witness exceeded_cap max_degree rank_tests superstable_burns",
-    )
-):
-    """``value``/``witness`` are set when the search found a divisor;
-    ``exceeded_cap`` reports running out of degrees instead.
-    ``rank_tests`` counts the divisors the search tested for positive
-    rank, and ``superstable_burns`` the burns it ran to prove a
-    configuration superstable.
-
-    A named tuple, but equality and hash read the first four fields
-    only, so the two counters take no part in them, and a result never
-    equals a plain tuple."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, GonalityResult) and self[:4] == other[:4]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
+GonalityResult = namedtuple(
+    "GonalityResult", "value witness exceeded_cap max_degree rank_tests superstable_burns"
+)
+GonalityResult.__doc__ = """``value``/``witness`` are set when the search found a divisor;
+``exceeded_cap`` reports running out of degrees instead.  ``rank_tests`` counts
+the divisors the search tested for positive rank, and ``superstable_burns`` the
+burns it ran to prove a configuration superstable."""
 
 
 def gonality_bruteforce(G, max_degree=INF, lower=0):

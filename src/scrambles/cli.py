@@ -7,9 +7,16 @@ file or unwritable output file, 3 resource cap exceeded.
 import argparse
 import sys
 
-from . import chipfiring, graphs, scramble, verify
+from . import chipfiring, graphs, invariants, scramble, verify
 from .graphs import INF, InputFormatError, fmt_count
-from .invariants import compute_invariant
+
+# invariant kinds that take K, by the name of their function in invariants,
+# looked up per call so that a rebound attribute is what runs; girth takes no K
+_INVARIANTS = {
+    "lambda-k": "restricted_edge_connectivity",
+    "xi-k": "min_connected_outdegree",
+    "alpha-c": "component_independence_number",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +46,7 @@ def build_parser():
     p.add_argument("file")
 
     p = sub.add_parser("invariant", help="compute one graph invariant")
-    p.add_argument("kind", choices=["lambda-k", "xi-k", "alpha-c", "girth"])
+    p.add_argument("kind", choices=[*_INVARIANTS, "girth"])
     p.add_argument("args", nargs="+", metavar="[K] FILE")
 
     p = sub.add_parser("scramble", help="scramble quantities")
@@ -134,17 +141,16 @@ def _cmd_invariant(args):
     if args.kind == "girth":
         if len(args.args) != 1:
             raise ValueError("girth takes no parameter, just a file")
-        parameter, path = 0, args.args[0]
-    else:
-        if len(args.args) != 2:
-            raise ValueError(f"{args.kind} needs a parameter K and a file")
-        try:
-            parameter = int(args.args[0])
-        except ValueError:
-            raise ValueError("parameter K must be an integer") from None
-        path = args.args[1]
-    G = graphs.parse_edge_list(_read(path))
-    print(fmt_count(compute_invariant(G, args.kind, parameter)))
+        print(fmt_count(graphs.parse_edge_list(_read(args.args[0])).girth()))
+        return 0
+    if len(args.args) != 2:
+        raise ValueError(f"{args.kind} needs a parameter K and a file")
+    try:
+        parameter = int(args.args[0])
+    except ValueError:
+        raise ValueError("parameter K must be an integer") from None
+    G = graphs.parse_edge_list(_read(args.args[1]))
+    print(fmt_count(getattr(invariants, _INVARIANTS[args.kind])(G, parameter)))
     return 0
 
 

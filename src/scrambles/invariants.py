@@ -246,16 +246,3 @@ def component_independence_number(G, limit):
 
 def independence_number(G):
     return component_independence_number(G, 1)
-
-
-def compute_invariant(G, kind, parameter=0):
-    """Dispatch for the CLI: lambda-k, xi-k, alpha-c, or girth."""
-    if kind == "lambda-k":
-        return restricted_edge_connectivity(G, parameter)
-    if kind == "xi-k":
-        return min_connected_outdegree(G, parameter)
-    if kind == "alpha-c":
-        return component_independence_number(G, parameter)
-    if kind == "girth":
-        return G.girth()
-    raise ValueError(f"unknown invariant {kind!r}")

@@ -12,7 +12,6 @@ conclusion computed.  Every conclusion but bipartite1's is n - alpha_c,
 the hitting number of the uniform (c + 1)-scramble.
 """
 
-import json
 from collections import namedtuple
 
 from .chipfiring import gonality_bruteforce
@@ -81,6 +80,7 @@ class TheoremReport(
 
 def report_to_json(report):
     """Canonical JSON text: re-serializing the parsed form is identical."""
+    import json  # loaded here, so that only a report pays for it
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 

@@ -383,18 +383,6 @@ class TestGonality:
         assert result.superstable_burns == 0
         assert result.rank_tests > 0
 
-    def test_counters_take_no_part_in_equality(self):
-        fields = (2, (1, 1), False, 2, 3, 4)
-        result = GonalityResult(*fields)
-        same = GonalityResult(2, (1, 1), False, 2, 5, 6)
-        assert result == same and not result != same
-        assert hash(result) == hash(same)
-        for i, other in enumerate((3, (2, 0), True, 3)):
-            changed = GonalityResult(*fields[:i], other, *fields[i + 1 :])
-            assert result != changed and not result == changed
-        assert result != fields and fields != result
-        assert not result == fields and not fields == result
-
     @given(connected_multigraphs(min_n=1, max_n=7, max_extra=6))
     @settings(deadline=None, max_examples=40)
     def test_zero_edge_connectivity_changes_nothing(self, G):

@@ -140,6 +140,10 @@ class TestInvariant:
         capsys.readouterr()
         assert run_cli(["invariant", "lambda-k", "3", path]) == 0
         assert capsys.readouterr().out.strip() == "8"
+        path = graph_file("herschel")
+        capsys.readouterr()
+        assert run_cli(["invariant", "lambda-k", "3", path]) == 0
+        assert capsys.readouterr().out.strip() == "5"
 
     def test_infinite_value_prints_inf(self, graph_file, capsys):
         path = graph_file("complete", "3")

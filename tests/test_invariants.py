@@ -14,7 +14,6 @@ from scrambles import (
     complete_bipartite,
     complete_graph,
     component_independence_number,
-    compute_invariant,
     cycle_graph,
     egg_cut_number,
     folded_cube,
@@ -294,16 +293,3 @@ class TestMonotonicity:
         alpha = [component_independence_number(G, c) for c in range(G.n + 1)]
         assert lam == sorted(lam), lam
         assert alpha == sorted(alpha), alpha
-
-
-class TestComputeInvariant:
-    def test_dispatch(self):
-        H = herschel_graph()
-        assert compute_invariant(H, "lambda-k", 3) == 5
-        assert compute_invariant(H, "xi-k", 5) == 6
-        assert compute_invariant(H, "alpha-c", 2) == 6
-        assert compute_invariant(H, "girth") == 4
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            compute_invariant(cycle_graph(4), "treewidth", 1)

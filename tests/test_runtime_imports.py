@@ -5,9 +5,12 @@ it, or a script, import ``dataclasses``: generating the methods of a
 handful of records would cost more than half of the package's import,
 and loading the module pulls in ``inspect``.  Every process pays for a
 module-level import, so each one a package module makes is read there;
-``__init__.py`` is exempt, since its imports are its exports."""
+``__init__.py`` is exempt, since its imports are its exports.  ``json``
+is loaded only when a verify report is written."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +101,13 @@ def test_imports_no_dataclasses(path):
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_json():
+    # -S keeps site's own imports out of sys.modules
+    env = {**os.environ, "PYTHONPATH": str(Path(scrambles.__file__).parent.parent)}
+    code = "import sys, scrambles.cli; print('json' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"

@@ -59,8 +59,13 @@ def fire_subset(G, D, subset):
 
 
 def _bfs_order(G, q):
-    """Vertices by BFS layer from q, ascending index inside a layer."""
-    return [v for layer in G._layers(q) for v in _bits(layer)]
+    """Vertices by BFS layer from q, ascending index inside a layer.  An
+    order that misses a vertex raises "graph must be connected", so the
+    walk is its callers' connectivity check."""
+    order = [v for layer in G._layers(q) for v in _bits(layer)]
+    if len(order) < G.n:
+        G._check_connected()
+    return order
 
 
 def _burn(pairs, chips, q):
@@ -187,7 +192,6 @@ def q_reduce(G, D, q):
     and survives no burning round."""
     _check_divisor(G, D)
     G._check_vertex(q)
-    G._check_connected()
     return _reduce_along(G._pairs, D, q, _bfs_order(G, q))
 
 
@@ -196,10 +200,10 @@ def is_equivalent(G, D1, D2):
     _check_divisor(G, D1)
     _check_divisor(G, D2)
     G._check_nonempty()
-    G._check_connected()
+    order = _bfs_order(G, 0)
     if sum(D1) != sum(D2):
         return False
-    pairs, order = G._pairs, _bfs_order(G, 0)
+    pairs = G._pairs
     return _reduce_along(pairs, D1, 0, order) == _reduce_along(pairs, D2, 0, order)
 
 
@@ -214,11 +218,11 @@ def has_positive_rank(G, D):
     """
     _check_divisor(G, D)
     G._check_nonempty()
-    G._check_connected()
+    order = _bfs_order(G, 0)
     if sum(D) < 0:
         return False
     pairs = G._pairs
-    D0 = _reduce_along(pairs, D, 0, _bfs_order(G, 0))
+    D0 = _reduce_along(pairs, D, 0, order)
     return D0[0] >= 1 and _refusing_vertex(pairs, D0, 0) is None
 
 

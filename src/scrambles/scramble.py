@@ -211,7 +211,7 @@ def parse_scramble(text, G):
 class HittingSearchResult(
     namedtuple("HittingSearchResult", "proved_lower optimum witness elapsed nodes")
 ):
-    """Outcome of an iterative-deepening hitting search.
+    """Outcome of ``hitting_search`` or ``uniform_hitting_search``.
 
     ``proved_lower`` always holds (the hitting number is at least this);
     ``optimum``/``witness`` are set when the search finished, which is

@@ -150,7 +150,7 @@ def _report(theorem_id, G, hypotheses, conclude, brute_cap, **fields):
     applicable, and brute force checks the value it gives."""
     value = conclude() if all(c.holds for c in hypotheses) else None
     check = _gonality_cross_check(G, value, brute_cap)
-    return TheoremReport(theorem_id, hypotheses, value, cross_check=check, **fields)
+    return TheoremReport(theorem_id, tuple(hypotheses), value, cross_check=check, **fields)
 
 
 def _valence_sum_checks(G, adjacent_floor, nonadjacent_floor):
@@ -263,11 +263,11 @@ def _bipartite_lemma_checks(G, sides):
     """Independence number equals the larger side once min valence
     reaches n/4; checked outright whenever the premise holds."""
     if 4 * G.min_valence() < G.n:
-        return []
+        return ()
     alpha = independence_number(G)
     larger = max(len(sides[0]), len(sides[1]))
     witness = {"alpha": alpha, "larger_side": larger}
-    return [HypothesisCheck("independence_number_equals_larger_side", alpha == larger, witness)]
+    return (HypothesisCheck("independence_number_equals_larger_side", alpha == larger, witness),)
 
 
 def _bipartite1(G, sides):
@@ -303,8 +303,8 @@ def verify_bipartite(G, variant, brute_cap=DEFAULT_BRUTE_CAP):
     sides = G.bipartition()
     if sides is None:
         raise ValueError("graph is not bipartite")
-    hypotheses, conclude = _variant(variant, "verify_bipartite", "bipartite")(G, sides)
-    hypotheses.insert(0, HypothesisCheck("simple", G.is_simple()))
+    checks, conclude = _variant(variant, "verify_bipartite", "bipartite")(G, sides)
+    hypotheses = (HypothesisCheck("simple", G.is_simple()), *checks)
     lemmas = _bipartite_lemma_checks(G, sides)
     return _report(variant, G, hypotheses, conclude, brute_cap, lemma_checks=lemmas)
 
@@ -332,7 +332,7 @@ def verify_order_ek(G, k):
     direct = min(hitting_number(S), _egg_cut_by_pairs(S))
     agreed = int(direct) if direct == formula != INF else None
     check = CrossCheck("verified" if direct == formula else "mismatch", agreed)
-    return TheoremReport("order_ek", [], (direct, formula), parameter=k, cross_check=check)
+    return TheoremReport("order_ek", (), (direct, formula), parameter=k, cross_check=check)
 
 
 # One row per theorem token.  ``verifier`` names the public function to

@@ -7,16 +7,13 @@ Criterion 05 runs the full hitting search of the 6-uniform scramble of
 the 32-vertex cube, deepening on alpha_5 with no egg built, and then
 the three-line summary; criterion 13 runs its component independence
 numbers at c = 5 and 6, and criterion 14 the order of its 25,312
-connected 6-sets read from a file; all three are excluded from the default run and opted
-into with ``-m longrun``.
+connected 6-sets read from a file.
 """
 
 import functools
 import random
 import sys
 import time
-
-import pytest
 
 import oracles
 from scrambles.chipfiring import (
@@ -57,13 +54,10 @@ from scrambles.verify import verify_bipartite
 VERDICTS = []
 
 
-def _announce(line):
+def _verdict(number, label, verdict, elapsed):
+    line = f"criterion {number:02d} {label}: {verdict} ({elapsed:.1f}s)"
     VERDICTS.append(line)
     print(line, file=sys.__stdout__, flush=True)
-
-
-def _verdict(number, label, verdict, elapsed):
-    _announce(f"criterion {number:02d} {label}: {verdict} ({elapsed:.1f}s)")
 
 
 def criterion(number, label, budget):
@@ -129,14 +123,6 @@ def test_criterion_04():
     assert gonality_bruteforce(G, max_degree=7).exceeded_cap
 
 
-def test_criterion_05_excluded_by_default():
-    _announce(
-        "criterion 05 five-cube hitting number and order: SKIPPED"
-        " (opt in with -m longrun)"
-    )
-
-
-@pytest.mark.longrun
 @criterion(5, "five-cube hitting number and order", 120.0)
 def test_criterion_05_five_cube_hitting_number(tmp_path, capsys):
     """The full hitting search on the 6-uniform scramble of the 32-vertex
@@ -160,20 +146,6 @@ def test_criterion_05_five_cube_hitting_number(tmp_path, capsys):
         "egg-cut number: 16",
         "order: 16",
     ]
-
-
-def test_criterion_13_excluded_by_default():
-    _announce(
-        "criterion 13 five-cube component independence: SKIPPED"
-        " (opt in with -m longrun)"
-    )
-
-
-def test_criterion_14_excluded_by_default():
-    _announce(
-        "criterion 14 five-cube order from an explicit egg file: SKIPPED"
-        " (opt in with -m longrun)"
-    )
 
 
 @criterion(6, "crown graph bipartite condition", 30.0)
@@ -286,7 +258,6 @@ def test_criterion_12(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "16"
 
 
-@pytest.mark.longrun
 @criterion(13, "five-cube component independence", 60.0)
 def test_criterion_13():
     """alpha_5 of the 32-vertex cube is 32 minus criterion 05's hitting
@@ -296,7 +267,6 @@ def test_criterion_13():
     assert component_independence_number(Q5, 6) == 18
 
 
-@pytest.mark.longrun
 @criterion(14, "five-cube order from an explicit egg file", 120.0)
 def test_criterion_14_five_cube_explicit_order(tmp_path, capsys):
     """``scramble order`` on the 25,312 connected 6-sets of the 32-vertex

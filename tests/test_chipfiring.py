@@ -259,6 +259,12 @@ class TestPositiveRank:
         G = Multigraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="graph must be connected"):
             has_positive_rank(G, (1, 0, 1, 0))
+        # connectivity is checked before the negative-degree shortcut,
+        # and after the divisor's length
+        with pytest.raises(ValueError, match="graph must be connected"):
+            has_positive_rank(G, (-1, 0, 0, 0))
+        with pytest.raises(ValueError, match="3 entries for a 4-vertex graph"):
+            has_positive_rank(G, (1, 0, 1))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="graph has no vertices"):
@@ -328,6 +334,14 @@ class TestGonality:
             q_reduce(G, D, 0)
         with pytest.raises(ValueError, match="graph must be connected"):
             is_equivalent(G, D, D)
+        # connectivity is checked before the unequal-degree shortcut, and
+        # after the divisors' lengths
+        with pytest.raises(ValueError, match="graph must be connected"):
+            is_equivalent(G, D, (2, 0, 0, 0))
+        with pytest.raises(ValueError, match="3 entries for a 4-vertex graph"):
+            q_reduce(G, (1, 0, 0), 0)
+        with pytest.raises(ValueError, match="3 entries for a 4-vertex graph"):
+            is_equivalent(G, D, (1, 0, 0))
         with pytest.raises(ValueError, match="graph must be connected"):
             gonality_bruteforce(G)
 

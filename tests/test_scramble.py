@@ -959,7 +959,6 @@ class TestOrder:
             n, edges = plain_edges(G)
             assert oracles.gonality_lexicographic(n, edges, want)[0] == want
 
-    @pytest.mark.longrun
     def test_sandwich_closes_on_q5(self):
         G = hypercube(5)
         assert best_uniform_order(G) == gonality_upper_by_separator(G).size == 16

@@ -253,7 +253,7 @@ class TestBipartite:
     def test_sparse_graphs_skip_the_lemma(self):
         # the star has minimum valence 1 < n/4, below the lemma premise
         report = verify_bipartite(complete_bipartite(1, 4), "bipartite1")
-        assert report.lemma_checks == []
+        assert report.lemma_checks == ()
 
     def test_boundary_density_triggers_the_lemma(self):
         # C_8 sits exactly on the premise: 4 * delta = n
@@ -346,6 +346,19 @@ class TestReports:
             with pytest.raises(AttributeError):
                 setattr(first, field, None)
         assert '"lemma_checks": []' in report_to_json(first)
+
+    @pytest.mark.parametrize(
+        "G",
+        [herschel_graph(), crown(6), complete_bipartite(3, 3)],
+        ids=["herschel", "crown6", "k33"],
+    )
+    def test_every_verifier_reports_tuples(self, G):
+        # a list inside a report could be changed after the report is made
+        for token, theorem in verify.THEOREMS.items():
+            argument = token if theorem.example is None else theorem.example
+            report = getattr(verify, theorem.verifier)(G, argument)
+            assert type(report.hypotheses) is tuple, token
+            assert type(report.lemma_checks) is tuple, token
 
     def test_json_reserializes_byte_identically(self):
         for report in (

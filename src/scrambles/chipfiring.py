@@ -6,6 +6,7 @@ separator-based upper bounds.
 A divisor is a plain tuple of n ints, one chip count per vertex.
 """
 
+import math
 from collections import namedtuple
 
 from .graphs import INF, InputFormatError, _bits, _content_rows
@@ -31,9 +32,7 @@ def fire_vertex(G, D, v):
     G._check_vertex(v)
     _check_divisor(G, D)
     out = list(D)
-    for w, m in G._pairs[v]:
-        out[v] -= m
-        out[w] += m
+    _fire(G._pairs, out, 1 << v, 1)
     return tuple(out)
 
 
@@ -47,12 +46,18 @@ def fire_subset(G, D, subset):
     if mask == (1 << G.n) - 1:
         raise ValueError("subset must be proper")
     out = list(D)
-    for v in _bits(mask):
-        for w, m in G._pairs[v]:
-            if not mask >> w & 1:
-                out[v] -= m
-                out[w] += m
+    _fire(G._pairs, out, mask, 1)
     return tuple(out)
+
+
+def _fire(pairs, chips, inside, times):
+    """Fire the vertex mask ``inside`` ``times`` times, in place: each
+    firing sends one chip along every edge that leaves the set."""
+    for v in _bits(inside):
+        for w, m in pairs[v]:
+            if not inside >> w & 1:
+                chips[v] -= times * m
+                chips[w] += times * m
 
 
 # -- q-reduction ---------------------------------------------------------
@@ -115,22 +120,12 @@ def _reduce_along(pairs, D, q, order):
     """
     n = len(D)
     chips = list(D)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    for i in range(n - 1, 0, -1):
-        v = order[i]
-        if chips[v] >= 0:
-            continue
-        gain = sum(m for w, m in pairs[v] if pos[w] < i)
-        rounds = (-chips[v] + gain - 1) // gain
-        for j in range(i):
-            u = order[j]
-            for w, m in pairs[u]:
-                if pos[w] >= i:
-                    chips[u] -= rounds * m
-                    chips[w] += rounds * m
+    prefix = (1 << n) - 1
+    for v in order[:0:-1]:
+        prefix ^= 1 << v
+        if chips[v] < 0:
+            gain = sum(m for w, m in pairs[v] if prefix >> w & 1)
+            _fire(pairs, chips, prefix, (gain - 1 - chips[v]) // gain)
 
     while True:
         burnt, incoming, burnt_count = _burn(pairs, chips, q)
@@ -272,15 +267,17 @@ def gonality_bruteforce(G, max_degree=INF, lower=0):
     make the answer wrong.
 
     Returns the first 0-reduced positive-rank divisor of the minimal
-    degree that the search meets.  The degree cap is min(max_degree, n),
-    so INF, the default, means n, which never binds on a connected graph.
+    degree that the search meets.  The degree cap is the floor of
+    min(max_degree, n), so INF, the default, means n, which never binds
+    on a connected graph.
     """
     G._check_nonempty()
     G._check_connected()
     n = G.n
     cap = min(max_degree, n)
-    if cap < 0:
+    if not cap >= 0:
         raise ValueError("degree cap must be non-negative")
+    cap = math.floor(cap)
     if cap < lower:
         return GonalityResult(None, None, True, cap, 0, 0)
     pairs = G._pairs

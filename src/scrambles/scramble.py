@@ -58,15 +58,15 @@ class Scramble:
     and disconnected eggs.  Made or parsed eggs come with their incidence.
 
     A plain class, treated as immutable after construction as
-    ``Multigraph`` is; two scrambles are equal only when they are the
-    same object."""
+    ``Multigraph`` is: it keeps the masks it is given as a tuple of its
+    own.  Two scrambles are equal only when they are the same object."""
 
     # False once a builder has vouched for connected eggs or swept them
     _sweep = True
 
     def __init__(self, graph, masks):
         self.graph = graph
-        self.masks = masks
+        self.masks = tuple(masks)
 
     @property
     def eggs(self):
@@ -118,7 +118,7 @@ def _checked_scramble(G, rows, mask_of, disconnected):
             raise
         first = next(_bits(bad))
     else:
-        S = Scramble(G, tuple(_lex_sorted(set(masks))))
+        S = Scramble(G, _lex_sorted(set(masks)))
         S._sweep = False
         bad = _disconnected(G, S._egg_incidence[0]) if S.masks else 0
         if not bad:
@@ -147,7 +147,7 @@ def make_scramble(G, eggs):
 
 def uniform_scramble(G, k):
     """The scramble whose eggs are all connected k-vertex subsets."""
-    S = Scramble(G, tuple(enumerate_connected_subsets(G, k)))
+    S = Scramble(G, enumerate_connected_subsets(G, k))
     S._sweep = False
     return S
 

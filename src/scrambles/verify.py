@@ -139,7 +139,7 @@ def _gonality_cross_check(G, expected, cap):
     if expected is None:
         result = gonality_bruteforce(G)
         return CrossCheck("informational", result.value)
-    result = gonality_bruteforce(G, max_degree=int(expected))
+    result = gonality_bruteforce(G, max_degree=expected)
     if result.exceeded_cap or result.value != expected:
         return CrossCheck("mismatch", result.value)
     return CrossCheck("verified", result.value)

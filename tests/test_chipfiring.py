@@ -1,6 +1,8 @@
 """Divisors, firing moves, q-reduction, gonality search, and strong
 separators."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,7 @@ class TestFiring:
         for v in sorted(subset):
             stepped = fire_vertex(G, stepped, v)
         assert fire_subset(G, D, subset) == stepped
+        assert list(stepped) == oracles.fire_set(G.edge_list(), D, subset)
 
     @given(graph_and_divisor(), st.data())
     @settings(deadline=None)
@@ -320,12 +323,17 @@ class TestGonality:
         assert gonality_bruteforce(G, max_degree=INF) == gonality_bruteforce(G)
         assert gonality_bruteforce(G).max_degree == 5
         assert gonality_bruteforce(G, max_degree=9).max_degree == 5
+        # any number caps the degree, at its floor
+        assert gonality_bruteforce(G, max_degree=2.5) == gonality_bruteforce(G, max_degree=2)
+        assert gonality_bruteforce(G, max_degree=3.0).value == 2
         with pytest.raises(TypeError):
             gonality_bruteforce(G, max_degree=None)
 
     def test_negative_degree_cap_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             gonality_bruteforce(cycle_graph(4), max_degree=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            gonality_bruteforce(cycle_graph(4), max_degree=math.nan)
 
     def test_disconnected_graph_rejected(self):
         G = Multigraph(4, [(0, 1), (2, 3)])

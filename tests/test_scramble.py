@@ -551,6 +551,20 @@ class TestHitting:
             with pytest.raises(ValueError, match=r"egg \[0, 2\] does not induce a connected"):
                 engine(S)
 
+    def test_hand_built_scramble_keeps_its_own_eggs(self):
+        # the engines cache the incidence of the eggs they first read, so
+        # the scramble must not follow later changes to the caller's list
+        L = [0b11, 0b1100]
+        S = Scramble(path_graph(4), L)
+        assert egg_cut_number(S) == 1
+        L.append(0b1001)
+        assert S.masks == (0b11, 0b1100)
+        assert len(S.eggs) == 2
+        # a generator is read once, not left exhausted by the first read
+        S = Scramble(path_graph(4), (m for m in (0b11, 0b1100)))
+        assert egg_cut_number(S) == 1
+        assert S.masks == (0b11, 0b1100)
+
     @given(scrambles_on())
     @settings(deadline=None, max_examples=60)
     def test_matches_exhaustive_oracle(self, S):

@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

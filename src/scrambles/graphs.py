@@ -45,14 +45,22 @@ class EdgeListError(InputFormatError):
 
 
 def _content_rows(text, error):
-    """Yield (1-based line number, tokens) for every line that is neither
-    blank nor a ``#`` comment; raise ``error`` when there is none."""
+    r"""Yield (1-based line number, tokens) for every line that is neither
+    blank nor a comment, a line whose first token starts with ``#``;
+    raise ``error`` when there is none.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r`` only: the other breaks of
+    ``str.splitlines`` (form feed, ``\x1c``, ``\u2028`` and the like)
+    are whitespace to ``str.split``, so they stay inside their line.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     empty = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if tokens and tokens[0][0] != "#":
             empty = False
-            yield lineno, stripped.split()
+            yield lineno, tokens
     if empty:
         raise error("no content lines")
 
@@ -312,15 +320,37 @@ _ONES_FIRST = str.maketrans("01", "10")  # so "1" sorts before "0"
 _BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 
+def _binary_key(mask):
+    """The mask spelled in binary from vertex 0 to its largest member,
+    "1" before "0": at the first vertex where two sets differ the one
+    holding it sorts first, unless the other has no member left there
+    and, as a prefix, is shorter."""
+    return bin(mask)[:1:-1].translate(_ONES_FIRST)
+
+
+def _same_size_sorted(masks, n):
+    """Masks of one size on at most n vertices in the canonical order.
+
+    It is the descending order of the masks read with their bits
+    reversed: at the first vertex where two sets differ, the one holding
+    it comes first, since a set of equal size cannot be a prefix of the
+    other.  The sort key reverses the bits of each byte of the
+    little-endian mask.
+    """
+    size = (n + 7) // 8
+    return sorted(
+        masks, key=lambda mask: mask.to_bytes(size, "little").translate(_BYTE_REVERSED), reverse=True
+    )
+
+
 def _lex_sorted(masks):
-    """Bitmasks in the canonical order of eggs and connected subsets:
-    lexicographic by ascending vertex tuple.  The key spells a mask in
-    binary from vertex 0 to its largest member, "1" before "0", so at the
-    first vertex where two sets differ the one holding it wins, unless
-    the other has no member left there and, as a prefix, is shorter.
-    Eggs of mixed sizes need this key; ``enumerate_connected_subsets``,
-    whose sets share one size, sorts by a cheaper one."""
-    return sorted(masks, key=lambda mask: bin(mask)[:1:-1].translate(_ONES_FIRST))
+    """A collection of bitmasks in the canonical order of eggs and
+    connected subsets: lexicographic by ascending vertex tuple.  Masks of
+    one size, as in a uniform egg file, take the byte key of
+    ``_same_size_sorted``; mixed sizes need ``_binary_key``."""
+    if len(set(map(int.bit_count, masks))) > 1:
+        return sorted(masks, key=_binary_key)
+    return _same_size_sorted(masks, max(masks, default=0).bit_length())
 
 
 def enumerate_connected_subsets(G, k):
@@ -336,11 +366,8 @@ def enumerate_connected_subsets(G, k):
     each frontier vertex followed by each later candidate, with no call
     per set.
 
-    All sets have k vertices, so the lexicographic order is the
-    descending order of the masks read with their bits reversed: at the
-    first vertex where two sets differ, the one holding it comes first,
-    since a set of equal size cannot be a prefix of the other.  The sort
-    key reverses the bits of each byte of the little-endian mask.
+    All sets have k vertices, so ``_same_size_sorted`` sorts them,
+    with no check of their sizes.
     """
     n = G.n
     G._check_subset_size(k)
@@ -380,10 +407,7 @@ def enumerate_connected_subsets(G, k):
         else:
             extend(sub0, k - 1, ext0, sub0 | ext0)
 
-    size = (n + 7) // 8
-    return sorted(
-        found, key=lambda mask: mask.to_bytes(size, "little").translate(_BYTE_REVERSED), reverse=True
-    )
+    return _same_size_sorted(found, n)
 
 
 # -- edge-list documents ------------------------------------------------

@@ -31,7 +31,7 @@ import sys
 import time
 from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 from .graphs import (
@@ -100,18 +100,18 @@ class Scramble:
         return len(self.masks)
 
 
-def _checked_scramble(G, rows, mask_of, disconnected):
-    """The canonical scramble on G of the distinct masks ``mask_of`` makes
-    of the rows ``rows()`` yields, read once and checked connected in one
-    ``_disconnected`` sweep.
+def _checked_scramble(G, rows, masks_of, disconnected):
+    """The canonical scramble on G of the distinct masks that
+    ``masks_of(rows())`` yields, one per row, read once and checked
+    connected in one ``_disconnected`` sweep.
 
     A fault is raised at the first faulty row.  Reading stops at a row
-    ``mask_of`` refuses (or at a fault in ``rows``), and that refusal is
+    ``masks_of`` refuses (or at a fault in ``rows``), and that refusal is
     raised unless a disconnected mask among those read comes first.
     """
     masks = []
     try:
-        masks.extend(map(mask_of, rows()))  # keeps the masks read before a fault
+        masks.extend(masks_of(rows()))  # keeps the masks read before a fault
     except Exception:
         bad = _disconnected(G, _incidence(masks, G.n)) if masks else 0
         if not bad:
@@ -142,7 +142,7 @@ def make_scramble(G, eggs):
     def disconnected(egg):
         return ValueError(f"egg {sorted(egg)} does not induce a connected subgraph")
 
-    return _checked_scramble(G, lambda: eggs, mask_of, disconnected)
+    return _checked_scramble(G, lambda: eggs, partial(map, mask_of), disconnected)
 
 
 def uniform_scramble(G, k):
@@ -174,27 +174,25 @@ def parse_scramble(text, G):
     """One egg per line as whitespace-separated vertex indices; ``#``
     lines are comments.
 
-    Each line's tokens are looked up in a table from the decimal spelling
-    of each vertex to its bit; the mask is their sum, and it holds a
-    repeated vertex iff it has fewer bits than the line has tokens.  A
-    miss or a repeat sends the line to ``int`` parsing and the range and
-    repeat checks.  The distinct masks are then put in canonical order
-    and checked connected in one sweep over the scramble's incidence.  A
-    fault is reported at the first faulty line, whatever the fault; see
-    ``_checked_scramble``.
+    One loop over the lines looks each line's tokens up in a table from
+    the decimal spelling of each vertex to its bit; the mask is their
+    sum, and it holds a repeated vertex iff it has fewer bits than the
+    line has tokens.  A miss or a repeat sends the line to ``int``
+    parsing and the range and repeat checks.  The distinct masks are then
+    put in canonical order and checked connected in one sweep over the
+    scramble's incidence.  A fault is reported at the first faulty line,
+    whatever the fault; see ``_checked_scramble``.
     """
     n = G.n
     lookup = {str(v): 1 << v for v in range(n)}.__getitem__
 
-    def mask_of(row):
-        lineno, tokens = row
-        try:
-            mask = sum(map(lookup, tokens))
-            if mask.bit_count() == len(tokens):
-                return mask
-        except KeyError:
-            pass
-        return _spelled_mask(tokens, n, lineno)
+    def masks_of(rows):
+        for lineno, tokens in rows:
+            try:
+                mask = sum(map(lookup, tokens))
+            except KeyError:
+                mask = 0
+            yield mask if mask.bit_count() == len(tokens) else _spelled_mask(tokens, n, lineno)
 
     def rows():
         return _content_rows(text, ScrambleFileError)
@@ -202,7 +200,7 @@ def parse_scramble(text, G):
     def disconnected(row):
         return ScrambleFileError("egg does not induce a connected subgraph", row[0])
 
-    return _checked_scramble(G, rows, mask_of, disconnected)
+    return _checked_scramble(G, rows, masks_of, disconnected)
 
 
 # -- hitting number ------------------------------------------------------
@@ -289,7 +287,7 @@ class _Deepening:
 
 _WORD = (1 << 64) - 1
 # _BINARY_DIGITS[t] spells a byte as b"1" where its bit t is set, else b"0"
-_BINARY_DIGITS = tuple(bytes(0x31 if b >> t & 1 else 0x30 for b in range(256)) for t in range(8))
+_BINARY_DIGITS = tuple((b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8))
 
 
 def _incidence(masks, n):
@@ -329,13 +327,13 @@ def _disconnected(G, inc):
     for row in inc:
         reached.append(row & ~below)
         below |= row
-    sweep = [(v, row, tuple(_bits(G._mask[v]))) for v, row in enumerate(inc) if row]
+    sweep = [(v, row, pairs) for v, (row, pairs) in enumerate(zip(inc, G._pairs)) if row]
     grew = True
     while grew:
         grew = False
-        for v, row, nbrs in sweep:
+        for v, row, pairs in sweep:
             now = reached[v]
-            for u in nbrs:
+            for u, _ in pairs:
                 now |= reached[u]
             now &= row
             if now != reached[v]:

@@ -6,6 +6,7 @@ imports the package under test, so agreement between an oracle and the
 library is meaningful evidence rather than a tautology.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -233,17 +234,26 @@ def connected_ksubsets(n, edges, k):
     return found
 
 
+def content_lines(text):
+    r"""The reading rule of every document: ``(line number, tokens)`` for
+    each line that holds a token and whose first token does not start
+    with ``#``.  Lines end at ``\n``, ``\r\n`` or ``\r`` and nowhere else."""
+    rows = []
+    for line, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            rows.append((line, tokens))
+    return rows
+
+
 def first_faulty_line(n, edges, text):
-    """An egg file read one line at a time: blank and ``#`` lines are
-    skipped, each token is read by ``int``, then the line is checked for
-    a repeated vertex, the range, and connectivity.  Returns
+    """An egg file read one content line at a time (``content_lines``):
+    each token is read by ``int``, then the line is checked for a
+    repeated vertex, the range, and connectivity.  Returns
     ``((message, line), None)`` for the first faulty line, else
     ``(None, eggs)`` with the distinct eggs as vertex tuples, ascending."""
     distinct = set()
-    for line, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
+    for line, tokens in content_lines(text):
         try:
             egg = [int(tok) for tok in tokens]
         except ValueError:

@@ -555,3 +555,10 @@ class TestDivisorDocuments:
     def test_empty_document(self):
         with pytest.raises(DivisorFileError, match="no content"):
             parse_divisor("# nothing\n", 3)
+
+    def test_lines_end_only_at_newline_and_carriage_return(self):
+        # a vertical tab is a blank inside its line, not a line end
+        assert parse_divisor("1 2\x0b3\n", 3) == (1, 2, 3)
+        with pytest.raises(DivisorFileError, match="single line") as info:
+            parse_divisor("1 2 3\r\n\r4 5 6\n", 3)
+        assert info.value.line == 3

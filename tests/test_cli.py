@@ -133,6 +133,16 @@ class TestInfo:
         assert run_cli(["info", str(path)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        edges = tmp_path / "bom.edges"
+        edges.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+        assert run_cli(["info", str(edges)]) == 0
+        assert "edges: 2" in capsys.readouterr().out.splitlines()
+        eggs = tmp_path / "bom.eggs"
+        eggs.write_bytes(b"\xef\xbb\xbf0\n2\n")
+        assert run_cli(["scramble", "order", str(edges), str(eggs)]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
 
 class TestInvariant:
     def test_restricted_connectivity(self, graph_file, capsys):

@@ -32,7 +32,7 @@ from scrambles import (
     path_graph,
     random_connected_multigraph,
 )
-from scrambles.graphs import _lex_sorted
+from scrambles.graphs import _binary_key, _content_rows, _lex_sorted, _same_size_sorted
 from strategies import (
     connected_multigraphs,
     disjoint_unions,
@@ -290,6 +290,34 @@ class TestParsing:
             parse_edge_list("3 1\n0 1 2\n")
         assert info.value.line == 2
 
+    def test_lines_end_only_at_newline_and_carriage_return(self):
+        # \x1c ends a line for str.splitlines, but str.split reads it as a blank
+        with pytest.raises(EdgeListError, match="expected 2 edge lines, found 1"):
+            parse_edge_list("3 2\n0 1\x1c1 2\n")
+        assert parse_edge_list("3 2\r\n0 1\r1 2\r") == path_graph(3)
+        with pytest.raises(EdgeListError, match="two integers") as info:
+            parse_edge_list("3 1\r\n\r0 x\n")
+        assert info.value.line == 3
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["0", "12", "x", "#", "#1", " ", "\t", "\xa0", "\u3000", "\x0c", "\n", "\r\n", "\r"]
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_content_rows_follow_the_reading_rule(self, text):
+        # blank lines, comments after blanks, a "#" after a token, and
+        # every line end mixed in one document
+        want = oracles.content_lines(text)
+        if not want:
+            with pytest.raises(EdgeListError, match="no content lines"):
+                list(_content_rows(text, EdgeListError))
+            return
+        assert list(_content_rows(text, EdgeListError)) == want
+
     @given(connected_multigraphs())
     @settings(deadline=None)
     def test_format_parse_roundtrip(self, G):
@@ -471,6 +499,20 @@ class TestConnectedSubsets:
             subsets = enumerate_connected_subsets(G, k)
             shuffled = rng.sample(subsets, len(subsets))
             assert _lex_sorted(shuffled) == subsets
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 48, 63, 64])
+    def test_same_size_sets_order_alike_under_both_keys(self, n):
+        # n above 32 puts masks above 2**32 and spreads the byte key
+        # over five to eight bytes
+        rng = random.Random(n)
+        for k in {1, 2, n // 2, n - 1, n} & set(range(1, n + 1)):
+            masks = list({sum(1 << v for v in rng.sample(range(n), k)) for _ in range(200)})
+            by_tuple = sorted(masks, key=lambda mask: sorted(vertex_set(mask)))
+            assert sorted(masks, key=_binary_key) == by_tuple
+            assert _same_size_sorted(masks, n) == by_tuple
+            assert _lex_sorted(masks) == by_tuple
+            if n > 33 and k < n:
+                assert max(masks) > 1 << 32
 
     def test_five_cube_six_sets(self):
         subsets = enumerate_connected_subsets(hypercube(5), 6)

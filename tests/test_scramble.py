@@ -307,7 +307,7 @@ class TestParsing:
     @pytest.fixture
     def reads(self, monkeypatch):
         """The line numbers each pass over a file's content rows yielded,
-        and those of the rows handed to ``mask_of``, in call order."""
+        and those of the rows handed to the mask loop, in call order."""
         passes, masked = [], []
         content_rows, checked = scramble._content_rows, scramble._checked_scramble
 
@@ -317,12 +317,13 @@ class TestParsing:
                 passes[-1].append(row[0])
                 yield row
 
-        def recording_check(G, rows, mask_of, disconnected):
-            def counted(row):
-                masked.append(row[0])
-                return mask_of(row)
+        def recording_check(G, rows, masks_of, disconnected):
+            def counted(rows):
+                for row in rows:
+                    masked.append(row[0])
+                    yield row
 
-            return checked(G, rows, counted, disconnected)
+            return checked(G, rows, lambda rows: masks_of(counted(rows)), disconnected)
 
         monkeypatch.setattr(scramble, "_content_rows", recording_rows)
         monkeypatch.setattr(scramble, "_checked_scramble", recording_check)
@@ -355,6 +356,13 @@ class TestParsing:
         assert info.value.line == line
         assert reads == ([masked, masked[: masked.index(line) + 1]], masked)
 
+    def test_lines_end_only_at_newline_and_carriage_return(self):
+        # a form feed is a blank inside its line, not a line end
+        assert parse_scramble("0 1\x0c2\n", path_graph(3)).masks == (0b111,)
+        with pytest.raises(ScrambleFileError, match="connected") as info:
+            parse_scramble("0 1\r\n1 2\r0 2\n", path_graph(3))
+        assert info.value.line == 3
+
     def test_odd_tokens_parse_as_integers(self):
         S = parse_scramble("00 +1\n1\t2\n", cycle_graph(4))
         assert S.masks == (0b0011, 0b0110)
@@ -373,6 +381,11 @@ class TestParsing:
 
 
 class TestBatchedConnectivity:
+    def test_binary_digits_spell_each_bit(self):
+        assert scramble._BINARY_DIGITS == tuple(
+            bytes(ord("1") if b >> t & 1 else ord("0") for b in range(256)) for t in range(8)
+        )
+
     @given(st.data())
     @settings(deadline=None, max_examples=80)
     def test_flags_exactly_the_disconnected_masks(self, data):

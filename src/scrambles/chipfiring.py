@@ -7,9 +7,8 @@ A divisor is a plain tuple of n ints, one chip count per vertex.
 """
 
 import math
-from collections import namedtuple
 
-from .graphs import INF, InputFormatError, _bits, _content_rows
+from .graphs import INF, InputFormatError, _Record, _bits, _content_rows
 from .invariants import max_component_independent_set, restricted_edge_connectivity
 
 
@@ -224,13 +223,14 @@ def has_positive_rank(G, D):
 # -- gonality ------------------------------------------------------------
 
 
-GonalityResult = namedtuple(
-    "GonalityResult", "value witness exceeded_cap max_degree rank_tests superstable_burns"
-)
-GonalityResult.__doc__ = """``value``/``witness`` are set when the search found a divisor;
-``exceeded_cap`` reports running out of degrees instead.  ``rank_tests`` counts
-the divisors the search tested for positive rank, and ``superstable_burns`` the
-burns it ran to prove a configuration superstable."""
+class GonalityResult(_Record):
+    """``value``/``witness`` are set when the search found a divisor;
+    ``exceeded_cap`` reports running out of degrees instead.  ``rank_tests`` counts
+    the divisors the search tested for positive rank, and ``superstable_burns`` the
+    burns it ran to prove a configuration superstable."""
+
+    __slots__ = ()
+    _fields = ("value", "witness", "exceeded_cap", "max_degree", "rank_tests", "superstable_burns")
 
 
 def gonality_bruteforce(G, max_degree=INF, lower=0):
@@ -343,7 +343,13 @@ def gonality_bruteforce(G, max_degree=INF, lower=0):
 # -- strong separators ---------------------------------------------------
 
 
-StrongSeparatorReport = namedtuple("StrongSeparatorReport", "separator valid violating_component")
+class StrongSeparatorReport(_Record):
+    """Whether ``separator`` is a strong separator; when it is not,
+    ``violating_component`` is a component left by its removal that
+    breaks a condition."""
+
+    __slots__ = ()
+    _fields = ("separator", "valid", "violating_component")
 
 
 def check_strong_separator(G, subset):
@@ -369,7 +375,13 @@ def check_strong_separator(G, subset):
     return StrongSeparatorReport(sep, True, None)
 
 
-SeparatorBound = namedtuple("SeparatorBound", "size separator component_limit")
+class SeparatorBound(_Record):
+    """A strong separator, its ``size`` (the gonality upper bound) and
+    the largest order ``component_limit`` a component left by its
+    removal may have."""
+
+    __slots__ = ()
+    _fields = ("size", "separator", "component_limit")
 
 
 def gonality_upper_by_separator(G):

@@ -11,6 +11,8 @@ that cannot be split) use the float ``INF`` sentinel; every finite count
 is a plain int.
 """
 
+from operator import itemgetter
+
 INF = float("inf")
 
 # Vertex sets are int bitmasks; documents may declare, and generate()
@@ -28,6 +30,80 @@ def count_to_json(value):
     if value == INF:
         return {"finite": False, "value": None}
     return {"finite": True, "value": int(value)}
+
+
+class _Record(tuple):
+    """Base of the result records: a tuple whose subclass names its
+    fields in ``_fields``, the defaults of trailing ones in
+    ``_field_defaults``, and sets ``__slots__ = ()`` so that its
+    instances hold nothing beside the tuple.
+
+    It behaves as a ``collections.namedtuple`` class does, constructor,
+    helpers, ``repr``, copying and pickling included, but defining a
+    record compiles nothing: each field is a ``property`` over
+    ``itemgetter``, installed when the subclass is made.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _field_defaults = {}
+
+    def __init_subclass__(cls):
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+        cls.__match_args__ = cls._fields
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values that ``cls(*args, **kwargs)`` names, raising
+        the ``TypeError`` a function with these parameters would."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._field_defaults:
+                values.append(cls._field_defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
+        for name in kwargs:
+            if name in fields:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        return values
+
+    @classmethod
+    def _make(cls, iterable):
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwargs):
+        result = self._make(map(kwargs.pop, self._fields, self))
+        if kwargs:
+            raise ValueError(f"Got unexpected field names: {list(kwargs)!r}")
+        return result
+
+    def _asdict(self):
+        return dict(zip(self._fields, self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({inner})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 class InputFormatError(ValueError):

@@ -30,13 +30,13 @@ gets the same sweep when its incidence is first built.
 import sys
 import time
 from array import array
-from collections import namedtuple
 from functools import cached_property, partial
 from itertools import islice
 
 from .graphs import (
     INF,
     InputFormatError,
+    _Record,
     _bits,
     _content_rows,
     _lex_sorted,
@@ -206,9 +206,7 @@ def parse_scramble(text, G):
 # -- hitting number ------------------------------------------------------
 
 
-class HittingSearchResult(
-    namedtuple("HittingSearchResult", "proved_lower optimum witness elapsed nodes")
-):
+class HittingSearchResult(_Record):
     """Outcome of ``hitting_search`` or ``uniform_hitting_search``.
 
     ``proved_lower`` always holds (the hitting number is at least this);
@@ -217,6 +215,7 @@ class HittingSearchResult(
     """
 
     __slots__ = ()
+    _fields = ("proved_lower", "optimum", "witness", "elapsed", "nodes")
 
     @property
     def complete(self):
@@ -277,11 +276,7 @@ class _Deepening:
         except _Deadline:
             pass
         return HittingSearchResult(
-            proved_lower=proved,
-            optimum=optimum,
-            witness=witness,
-            elapsed=time.monotonic() - self.start,
-            nodes=self.nodes,
+            proved, optimum, witness, time.monotonic() - self.start, self.nodes
         )
 
 

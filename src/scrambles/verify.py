@@ -12,11 +12,9 @@ conclusion computed.  Every conclusion but bipartite1's is n - alpha_c,
 the hitting number of the uniform (c + 1)-scramble.
 """
 
-from collections import namedtuple
-
 from .chipfiring import gonality_bruteforce
 from .flow import _max_flow
-from .graphs import INF, count_to_json, fmt_count
+from .graphs import INF, _Record, count_to_json, fmt_count
 from .invariants import independence_number, min_connected_outdegree, restricted_edge_connectivity
 from .scramble import (
     hitting_number,
@@ -28,24 +26,46 @@ from .scramble import (
 DEFAULT_BRUTE_CAP = 16
 
 
-HypothesisCheck = namedtuple("HypothesisCheck", "name holds witness", defaults=(None,))
+class HypothesisCheck(_Record):
+    """One named hypothesis, whether it ``holds``, and the ``witness``
+    the report prints for it."""
 
-# status: verified | mismatch | informational | skipped
-CrossCheck = namedtuple("CrossCheck", "status value", defaults=(None,))
+    __slots__ = ()
+    _fields = ("name", "holds", "witness")
+    _field_defaults = {"witness": None}
 
 
-class TheoremReport(
-    namedtuple(
-        "TheoremReport",
-        "theorem_id hypotheses conclusion_value parameter upper_bound lemma_checks cross_check",
-        defaults=(None, None, None, (), None),
-    )
-):
+class CrossCheck(_Record):
+    """``status`` is verified, mismatch, informational or skipped;
+    ``value`` is the number the check computed, when it has one."""
+
+    __slots__ = ()
+    _fields = ("status", "value")
+    _field_defaults = {"value": None}
+
+
+class TheoremReport(_Record):
     """One theorem's hypotheses, its conclusion (set only when every
     hypothesis holds) and the cross-check of that conclusion, built in
     one call; ``lemma_checks`` is ``()`` when omitted."""
 
     __slots__ = ()
+    _fields = (
+        "theorem_id",
+        "hypotheses",
+        "conclusion_value",
+        "parameter",
+        "upper_bound",
+        "lemma_checks",
+        "cross_check",
+    )
+    _field_defaults = {
+        "conclusion_value": None,
+        "parameter": None,
+        "upper_bound": None,
+        "lemma_checks": (),
+        "cross_check": None,
+    }
 
     @property
     def applicable(self):
@@ -335,14 +355,17 @@ def verify_order_ek(G, k):
     return TheoremReport("order_ek", (), (direct, formula), parameter=k, cross_check=check)
 
 
-# One row per theorem token.  ``verifier`` names the public function to
-# run, looked up on the module when called so that wrappers bound there
-# see the call; it gets K when the token takes ``:K`` (``example`` is a
-# sample K), else the token, and ``brute_cap`` when ``cross_checked``.
-# ``hypotheses`` is a girth or bipartite variant's own part.
-Theorem = namedtuple(
-    "Theorem", "verifier example hypotheses cross_checked", defaults=(None, None, True)
-)
+class Theorem(_Record):
+    """One row per theorem token.  ``verifier`` names the public function
+    to run, looked up on the module when called so that wrappers bound
+    there see the call; it gets K when the token takes ``:K``
+    (``example`` is a sample K), else the token, and ``brute_cap`` when
+    ``cross_checked``.  ``hypotheses`` is a girth or bipartite variant's
+    own part."""
+
+    __slots__ = ()
+    _fields = ("verifier", "example", "hypotheses", "cross_checked")
+    _field_defaults = {"example": None, "hypotheses": None, "cross_checked": True}
 
 THEOREMS = {
     "main": Theorem("verify_main", example=4),

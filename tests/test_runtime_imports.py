@@ -3,7 +3,9 @@ names a standard-library module.  numpy, scipy or networkx may be
 installed alongside, but the package must not depend on them.  Nor does
 it, or a script, import ``dataclasses``: generating the methods of a
 handful of records would cost more than half of the package's import,
-and loading the module pulls in ``inspect``.  Every process pays for a
+and loading the module pulls in ``inspect``.  For the same reason the
+package defines no record with ``collections.namedtuple``, which
+compiles each record's constructor with ``eval``.  Every process pays for a
 module-level import, so each one a package module makes is read there;
 ``__init__.py`` is exempt, since its imports are its exports.  ``json``
 is loaded only when a verify report is written."""
@@ -103,11 +105,34 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_loads_no_json():
-    # -S keeps site's own imports out of sys.modules
+def run_without_site(code):
+    """Standard output of ``code`` run by ``python -S``, which keeps
+    site's own imports out of the process."""
     env = {**os.environ, "PYTHONPATH": str(Path(scrambles.__file__).parent.parent)}
-    code = "import sys, scrambles.cli; print('json' in sys.modules)"
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout == "False\n"
+    return run.stdout
+
+
+def test_cli_import_loads_no_json():
+    assert run_without_site("import sys, scrambles.cli; print('json' in sys.modules)") == "False\n"
+
+
+def test_cli_import_runs_no_eval():
+    # The stdlib modules the package imports are loaded before eval is
+    # wrapped, so only the package's own module bodies are counted.
+    # importlib runs each module through exec, so exec is not counted.
+    code = (
+        "import argparse, array, builtins, collections, functools, itertools, math, sys, time\n"
+        "calls = 0\n"
+        "real_eval = builtins.eval\n"
+        "def counting_eval(*args, **kwargs):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return real_eval(*args, **kwargs)\n"
+        "builtins.eval = counting_eval\n"
+        "import scrambles.cli\n"
+        "print(calls)\n"
+    )
+    assert run_without_site(code) == "0\n"

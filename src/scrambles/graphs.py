@@ -6,6 +6,11 @@ stored as integer multiplicities on unordered pairs; self-loops are
 rejected everywhere.  Instances are treated as immutable after
 construction, so values can be shared freely.
 
+Vertex sets are int bitmasks, bit v for vertex v.  A collection of
+them, such as the connected k-sets or the eggs of a scramble, is kept
+in ascending order of the masks as integers.  That canonical order
+changes no computed value; witnesses follow it, so they are repeatable.
+
 Counts that may be infinite (girth of a forest, connectivity of a graph
 that cannot be split) use the float ``INF`` sentinel; every finite count
 is a plain int.
@@ -391,47 +396,10 @@ class Multigraph:
 
 # -- connected subset enumeration --------------------------------------
 
-_ONES_FIRST = str.maketrans("01", "10")  # so "1" sorts before "0"
-# _BYTE_REVERSED[b] is the byte b with its eight bits in reverse order
-_BYTE_REVERSED = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
-
-
-def _binary_key(mask):
-    """The mask spelled in binary from vertex 0 to its largest member,
-    "1" before "0": at the first vertex where two sets differ the one
-    holding it sorts first, unless the other has no member left there
-    and, as a prefix, is shorter."""
-    return bin(mask)[:1:-1].translate(_ONES_FIRST)
-
-
-def _same_size_sorted(masks, n):
-    """Masks of one size on at most n vertices in the canonical order.
-
-    It is the descending order of the masks read with their bits
-    reversed: at the first vertex where two sets differ, the one holding
-    it comes first, since a set of equal size cannot be a prefix of the
-    other.  The sort key reverses the bits of each byte of the
-    little-endian mask.
-    """
-    size = (n + 7) // 8
-    return sorted(
-        masks, key=lambda mask: mask.to_bytes(size, "little").translate(_BYTE_REVERSED), reverse=True
-    )
-
-
-def _lex_sorted(masks):
-    """A collection of bitmasks in the canonical order of eggs and
-    connected subsets: lexicographic by ascending vertex tuple.  Masks of
-    one size, as in a uniform egg file, take the byte key of
-    ``_same_size_sorted``; mixed sizes need ``_binary_key``."""
-    if len(set(map(int.bit_count, masks))) > 1:
-        return sorted(masks, key=_binary_key)
-    return _same_size_sorted(masks, max(masks, default=0).bit_length())
-
 
 def enumerate_connected_subsets(G, k):
     """All connected k-vertex subsets as vertex bitmasks, each exactly
-    once, sorted lexicographically by ascending vertex tuple.
+    once, in ascending order of the masks, the canonical egg order.
 
     Grows sets from their minimum vertex; a candidate frontier restricted
     to unseen higher-numbered vertices guarantees uniqueness.  A node
@@ -441,9 +409,6 @@ def enumerate_connected_subsets(G, k):
     n - k + 1 are tried.  A set two vertices short is completed in place,
     each frontier vertex followed by each later candidate, with no call
     per set.
-
-    All sets have k vertices, so ``_same_size_sorted`` sorts them,
-    with no check of their sizes.
     """
     n = G.n
     G._check_subset_size(k)
@@ -483,7 +448,8 @@ def enumerate_connected_subsets(G, k):
         else:
             extend(sub0, k - 1, ext0, sub0 | ext0)
 
-    return _same_size_sorted(found, n)
+    found.sort()
+    return found
 
 
 # -- edge-list documents ------------------------------------------------

@@ -3,7 +3,9 @@ graph, with their hitting numbers, egg-cut numbers, and orders.
 
 An egg is stored only as its vertex bitmask, from enumeration or parsing
 through every search; vertex sets appear only in results (witnesses and
-the derived ``Scramble.eggs``).
+the derived ``Scramble.eggs``).  A ``Scramble`` keeps its distinct masks
+in ascending order, however it is built, and every engine reads them in
+that order, so equal egg collections give equal witnesses.
 
 The egg-level engines serve explicit scrambles.  Both work on a
 transposed incidence (for each vertex, the bitmask of the eggs
@@ -32,6 +34,7 @@ import time
 from array import array
 from functools import cached_property, partial
 from itertools import islice
+from operator import eq
 
 from .graphs import (
     INF,
@@ -39,7 +42,6 @@ from .graphs import (
     _Record,
     _bits,
     _content_rows,
-    _lex_sorted,
     enumerate_connected_subsets,
 )
 from . import invariants
@@ -50,22 +52,28 @@ class ScrambleFileError(InputFormatError):
 
 
 class Scramble:
-    """Eggs as vertex bitmasks, deduplicated and sorted lexicographically
-    by ascending vertex tuple; ``eggs`` spells them out as vertex sets,
+    """Eggs as vertex bitmasks; ``eggs`` spells them out as vertex sets,
     built afresh on each read.  The egg engines need connected eggs:
     ``make_scramble``, ``parse_scramble`` and ``uniform_scramble`` ensure
     them, and on a direct build the engines refuse empty, out-of-range
     and disconnected eggs.  Made or parsed eggs come with their incidence.
 
     A plain class, treated as immutable after construction as
-    ``Multigraph`` is: it keeps the masks it is given as a tuple of its
-    own.  Two scrambles are equal only when they are the same object."""
+    ``Multigraph`` is: it keeps the distinct masks it is given, in
+    ascending order, as a tuple of its own.  So the same eggs listed in
+    any order, with any repeats, give the same masks and witnesses.  Two
+    scrambles are equal only when they are the same object."""
 
     # False once a builder has vouched for connected eggs or swept them
     _sweep = True
 
     def __init__(self, graph, masks):
         self.graph = graph
+        # sorted before deduplicated, so that masks already distinct and
+        # ascending, as enumerated ones are, take linear time
+        masks = sorted(masks)
+        if any(map(eq, masks, masks[1:])):
+            masks = dict.fromkeys(masks)
         self.masks = tuple(masks)
 
     @property
@@ -84,9 +92,9 @@ class Scramble:
         n = self.graph.n
         # a Scramble built directly skips make_scramble's checks, so its
         # first read makes them, the connectivity sweep included
-        if min(self.masks) < 1:
+        if self.masks[0] < 1:
             raise ValueError("eggs must be nonempty")
-        if max(self.masks) >> n:
+        if self.masks[-1] >> n:
             raise ValueError(f"egg vertex out of range for a graph on {n} vertices")
         inc = _incidence(self.masks, n)
         bad = _disconnected(self.graph, inc) if self._sweep else 0
@@ -118,7 +126,7 @@ def _checked_scramble(G, rows, masks_of, disconnected):
             raise
         first = next(_bits(bad))
     else:
-        S = Scramble(G, _lex_sorted(set(masks)))
+        S = Scramble(G, masks)
         S._sweep = False
         bad = _disconnected(G, S._egg_incidence[0]) if S.masks else 0
         if not bad:
@@ -130,7 +138,8 @@ def _checked_scramble(G, rows, masks_of, disconnected):
 
 def make_scramble(G, eggs):
     """Validate eggs against G (nonempty, in range, connected) and build
-    the canonical scramble; a fault is reported at the first faulty egg."""
+    their scramble, whose masks are distinct and ascending whatever the
+    order of ``eggs``; a fault is reported at the first faulty egg."""
     eggs = list(eggs)
 
     def mask_of(egg):
@@ -178,10 +187,11 @@ def parse_scramble(text, G):
     the decimal spelling of each vertex to its bit; the mask is their
     sum, and it holds a repeated vertex iff it has fewer bits than the
     line has tokens.  A miss or a repeat sends the line to ``int``
-    parsing and the range and repeat checks.  The distinct masks are then
-    put in canonical order and checked connected in one sweep over the
-    scramble's incidence.  A fault is reported at the first faulty line,
-    whatever the fault; see ``_checked_scramble``.
+    parsing and the range and repeat checks.  The scramble keeps the
+    distinct masks in ascending order, whatever the order of the lines,
+    and checks them connected in one sweep over its incidence.  A fault
+    is reported at the first faulty line, whatever the fault; see
+    ``_checked_scramble``.
     """
     n = G.n
     lookup = {str(v): 1 << v for v in range(n)}.__getitem__
@@ -489,8 +499,10 @@ def _disjoint_pair(S):
     """``_first_disjoint_pair`` of S's eggs, unless pigeonhole rules a
     pair out first: when twice the smallest egg holds more than n
     vertices, any two eggs together hold more vertices than the graph,
-    so they share one.  The first egg's size alone rules most scrambles
-    out before the full scan."""
+    so they share one.  The first egg's size alone rules pigeonhole out
+    on most scrambles, before a scan of every egg's size.  The pair
+    found is the first in ascending mask order, so it depends only on
+    which eggs S holds."""
     inc, every, _ = S._egg_incidence
     n = S.graph.n
     if 2 * S.masks[0].bit_count() > n and 2 * min(map(int.bit_count, S.masks)) > n:

@@ -43,6 +43,17 @@ def components(n, edges, subset=None):
     return comps
 
 
+def mask(vertices):
+    """The bitmask of a vertex collection: bit v set for each vertex v."""
+    return sum(1 << v for v in set(vertices))
+
+
+def canonical(masks):
+    """Vertex masks in the canonical egg order of every scramble builder:
+    each distinct mask once, ascending as integers."""
+    return sorted(set(masks))
+
+
 def is_connected_subset(n, edges, subset):
     subset = set(subset)
     if not subset:
@@ -251,8 +262,8 @@ def first_faulty_line(n, edges, text):
     each token is read by ``int``, then the line is checked for a
     repeated vertex, the range, and connectivity.  Returns
     ``((message, line), None)`` for the first faulty line, else
-    ``(None, eggs)`` with the distinct eggs as vertex tuples, ascending."""
-    distinct = set()
+    ``(None, masks)`` with the eggs' masks in canonical order."""
+    masks = []
     for line, tokens in content_lines(text):
         try:
             egg = [int(tok) for tok in tokens]
@@ -265,18 +276,17 @@ def first_faulty_line(n, edges, text):
                 return (f"vertex {v} out of range", line), None
         if not is_connected_subset(n, edges, egg):
             return ("egg does not induce a connected subgraph", line), None
-        distinct.add(tuple(sorted(egg)))
-    if not distinct:
+        masks.append(mask(egg))
+    if not masks:
         return ("no content lines", None), None
-    return None, sorted(distinct)
+    return None, canonical(masks)
 
 
 def first_faulty_egg(n, edges, eggs):
     """Vertex sets checked one at a time for range, emptiness and
     connectivity.  Returns ``(message, None)`` for the first faulty set,
-    else ``(None, eggs)`` with the distinct sets as vertex tuples,
-    ascending."""
-    distinct = set()
+    else ``(None, masks)`` with the sets' masks in canonical order."""
+    masks = []
     for egg in eggs:
         for v in egg:
             if not 0 <= v < n:
@@ -285,8 +295,8 @@ def first_faulty_egg(n, edges, eggs):
             return "eggs must be nonempty", None
         if not is_connected_subset(n, edges, egg):
             return f"egg {sorted(egg)} does not induce a connected subgraph", None
-        distinct.add(tuple(sorted(egg)))
-    return None, sorted(distinct)
+        masks.append(mask(egg))
+    return None, canonical(masks)
 
 
 def hitting_exhaustive(n, eggs):
